@@ -11,6 +11,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, toeplitz
 from scipy.signal import fftconvolve
 
+from .dsp import StftConfig
+
 MAX_PERMUTATION_SOURCES = 4
 
 
@@ -177,17 +179,18 @@ REPORT_HEADER = ["utt_id", "speaker", "permuted_to", "sdr_db", "sir_db", "sar_db
 
 
 def evaluate_set(manifest_path, ckpt, algo: str, cfg: EvalConfig, out_csv,
-                 split: str = "test", seed: int = 0, tau: float = 0.5) -> dict:
+                 split: str = "test", seed: int = 0,
+                 stft_cfg: StftConfig = StftConfig()) -> dict:
     """Separate and score every mixture of a manifest split; write a CSV report.
 
     algo selects the estimator: 'kmeans'/'gmm' run the model in ckpt,
     'oracle_wfm'/'oracle_ibm' apply ideal masks built from the reference
-    stems, and 'mixture' scores the unprocessed mixture as every estimate.
-    PESQ is out of scope and reported as n/a.
+    stems at the geometry stft_cfg, and 'mixture' scores the unprocessed
+    mixture as every estimate. PESQ is out of scope and reported as n/a.
     """
     from . import corpus, pipeline
-    from .dsp import istft, magnitude, phase, read_wav, stft
-    from .masking import apply_mask, binarize, wiener_like_masks
+    from .dsp import istft, phase, read_wav
+    from .masking import apply_mask, binarize
 
     records = [r for r in corpus.load_manifest(manifest_path) if r.split == split]
     rows = []
@@ -202,12 +205,12 @@ def evaluate_set(manifest_path, ckpt, algo: str, cfg: EvalConfig, out_csv,
             ests = pipeline.separate(mix, ckpt, n_src, algo=algo, seed=seed)
             est_samples = [e.samples for e in ests]
         elif algo in ("oracle_wfm", "oracle_ibm"):
-            spec = stft(mix)
-            masks = wiener_like_masks([magnitude(stft(r)) for r in refs])
+            spec, mix_mag, masks = pipeline.mixture_masks(mix, refs, stft_cfg)
             if algo == "oracle_ibm":
-                masks = [binarize(m, tau) for m in masks]
-            est_samples = [istft(apply_mask(magnitude(spec), m, phase(spec),
-                                            spec.source_len, spec.cfg)).samples
+                masks = [binarize(m) for m in masks]
+            mix_phase = phase(spec)
+            est_samples = [istft(apply_mask(mix_mag, m, mix_phase, spec.source_len, stft_cfg),
+                                 stft_cfg).samples
                            for m in masks]
         elif algo == "mixture":
             est_samples = [mix.samples.copy() for _ in range(n_src)]

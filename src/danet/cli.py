@@ -9,8 +9,34 @@ can be reproduced from its output directory.
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+
+import numpy as np
+
+from .bsseval import EvalConfig, evaluate_set
+from .corpus import DatasetRecipe, build_dataset, scan_corpus, synth_corpus
+from .dsp import StftConfig, read_wav, write_wav
+from .network import ArchSpec, count_params, finite_difference_check
+from .pipeline import HyperParams, load_checkpoint, save_checkpoint, separate, train
+
+# The arch/stft/train/eval keys are the fields of these dataclasses, whose
+# defaults are the config defaults.
+SECTIONS = {"arch": ArchSpec, "stft": StftConfig, "train": HyperParams, "eval": EvalConfig}
+
+# Short user-facing names for the fields whose key is not the field name.
+ALIASES = {
+    "arch.num_layers": "arch.layers",
+    "arch.hidden_per_direction": "arch.hidden",
+    "arch.cell_kind": "arch.cell",
+    "train.lr_halve_patience": "train.patience",
+}
+
+
+def _key(section: str, name: str) -> str:
+    key = f"{section}.{name}"
+    return ALIASES.get(key, key)
+
 
 DEFAULTS: dict[str, object] = {
     "synth.speakers": 12,
@@ -23,34 +49,50 @@ DEFAULTS: dict[str, object] = {
     "mix.snr_lo": -3.0,
     "mix.snr_hi": 3.0,
     "mix.seed": 0,
-    "stft.win_len": 256,
-    "stft.hop": 64,
-    "stft.fft_size": 256,
-    "arch.input_dim": 129,
-    "arch.layers": 4,
-    "arch.hidden": 300,
-    "arch.embed_dim": 20,
-    "arch.cell": "gru",
-    "train.lr0": 1e-3,
-    "train.patience": 3,
-    "train.lr_min": 1e-6,
-    "train.epochs": 50,
-    "train.batch_size": 8,
-    "train.grad_clip": 200.0,
-    "train.beta1": 0.9,
-    "train.beta2": 0.999,
-    "train.eps": 1e-8,
-    "train.seed": 0,
+    **{_key(section, f.name): f.default
+       for section, cls in SECTIONS.items() for f in fields(cls)},
     "separate.n_speakers": 2,
     "separate.cluster": "gmm",
     "separate.seed": 0,
     "eval.algo": "gmm",
     "eval.split": "test",
-    "eval.proj_len": 512,
-    "eval.sdr_cap": 100.0,
     "eval.seed": 0,
     "gradcheck.seed": 0,
     "gradcheck.step": 1e-5,
+}
+
+# Per subcommand: help text, file arguments (name -> required), and the
+# flags that set a config key. A flag's type is that of its key's default.
+COMMANDS = {
+    "synth": ("generate the synthetic corpus", {"--out": True},
+              {"--speakers": "synth.speakers", "--utts": "synth.utts",
+               "--dur": "synth.dur", "--seed": "synth.seed"}),
+    "mix": ("build a two-speaker mixture dataset", {"--corpus": True, "--out": True},
+            {"--train-min": "mix.train_min", "--valid-min": "mix.valid_min",
+             "--test-min": "mix.test_min", "--seed": "mix.seed"}),
+    "train": ("train a separation model", {"--manifest": True, "--out": True},
+              {"--epochs": "train.epochs", "--batch-size": "train.batch_size",
+               "--lr0": "train.lr0", "--layers": "arch.layers", "--hidden": "arch.hidden",
+               "--embed-dim": "arch.embed_dim", "--seed": "train.seed"}),
+    "separate": ("separate one mixture WAV",
+                 {"--checkpoint": True, "--input": True, "--out-dir": False},
+                 {"--speakers": "separate.n_speakers", "--cluster": "separate.cluster",
+                  "--seed": "separate.seed"}),
+    "eval": ("score a manifest split",
+             {"--manifest": True, "--checkpoint": False, "--out": True},
+             {"--algo": "eval.algo", "--split": "eval.split", "--proj-len": "eval.proj_len"}),
+    "count-params": ("closed-form parameter count", {},
+                     {"--cell": "arch.cell", "--layers": "arch.layers",
+                      "--hidden": "arch.hidden", "--embed-dim": "arch.embed_dim",
+                      "--input-dim": "arch.input_dim"}),
+    "gradcheck": ("finite-difference gradient check", {},
+                  {"--seed": "gradcheck.seed", "--step": "gradcheck.step"}),
+}
+
+CHOICES = {
+    "separate.cluster": ["kmeans", "gmm"],
+    "eval.algo": ["kmeans", "gmm", "oracle_wfm", "oracle_ibm", "mixture"],
+    "arch.cell": ["gru", "lstm"],
 }
 
 
@@ -66,11 +108,8 @@ class CommandOutcome:
 
 
 def _coerce(key: str, raw: str):
-    default = DEFAULTS[key]
     try:
-        if isinstance(default, bool):
-            return raw.lower() in ("1", "true", "yes")
-        return type(default)(raw)
+        return type(DEFAULTS[key])(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
 
@@ -110,38 +149,24 @@ def echo_config(cfg: dict, path: Path) -> None:
             fh.write(f"{key}={cfg[key]}\n")
 
 
-def _apply_flags(cfg: dict, args: argparse.Namespace, mapping: dict[str, str]) -> dict:
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
+def _build(cls, cfg: dict, section: str):
+    """The dataclass of one config section, built from the merged config."""
+    try:
+        return cls(**{f.name: cfg[_key(section, f.name)] for f in fields(cls)})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
+    """Flags win over every other source of a key."""
+    for key in COMMANDS[args.command][2].values():
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
     return cfg
 
 
-def _arch_from(cfg: dict):
-    from .network import ArchSpec
-
-    try:
-        return ArchSpec(input_dim=cfg["arch.input_dim"], num_layers=cfg["arch.layers"],
-                        hidden_per_direction=cfg["arch.hidden"],
-                        embed_dim=cfg["arch.embed_dim"], cell_kind=cfg["arch.cell"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _stft_from(cfg: dict):
-    from .dsp import StftConfig
-
-    try:
-        return StftConfig(win_len=cfg["stft.win_len"], hop=cfg["stft.hop"],
-                          fft_size=cfg["stft.fft_size"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_synth(cfg: dict, args) -> CommandOutcome:
-    from .corpus import synth_corpus
-
     out_dir = Path(args.out)
     table = synth_corpus(out_dir, n_speakers=cfg["synth.speakers"],
                          utts_per_speaker=cfg["synth.utts"],
@@ -154,8 +179,6 @@ def cmd_synth(cfg: dict, args) -> CommandOutcome:
 
 
 def cmd_mix(cfg: dict, args) -> CommandOutcome:
-    from .corpus import DatasetRecipe, build_dataset, scan_corpus
-
     corpus_dir = Path(args.corpus)
     if not corpus_dir.is_dir():
         raise ConfigError(f"mix.corpus: directory not found: {corpus_dir}")
@@ -175,21 +198,11 @@ def cmd_mix(cfg: dict, args) -> CommandOutcome:
 
 
 def cmd_train(cfg: dict, args) -> CommandOutcome:
-    from .pipeline import HyperParams, load_checkpoint, save_checkpoint, train
-
     manifest = Path(args.manifest)
     if not manifest.is_file():
         raise ConfigError(f"train.manifest: file not found: {manifest}")
-    try:
-        hyper = HyperParams(lr0=cfg["train.lr0"], lr_halve_patience=cfg["train.patience"],
-                            lr_min=cfg["train.lr_min"], epochs=cfg["train.epochs"],
-                            batch_size=cfg["train.batch_size"],
-                            grad_clip=cfg["train.grad_clip"], beta1=cfg["train.beta1"],
-                            beta2=cfg["train.beta2"], eps=cfg["train.eps"],
-                            seed=cfg["train.seed"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    arch = _arch_from(cfg)
+    hyper = _build(HyperParams, cfg, "train")
+    arch = _build(ArchSpec, cfg, "arch")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -204,7 +217,7 @@ def cmd_train(cfg: dict, args) -> CommandOutcome:
         print(f"epoch {row.epoch}: train {row.train_loss:.4f} "
               f"val {row.val_loss:.4f} lr {row.lr:.2e} ({row.seconds:.1f}s)")
 
-    result = train(manifest, hyper, arch, stft_cfg=_stft_from(cfg),
+    result = train(manifest, hyper, arch, stft_cfg=_build(StftConfig, cfg, "stft"),
                    resume_from=resume_from, progress=progress)
     save_checkpoint(result.best, out_dir / "checkpoint.danc")
     save_checkpoint(result.last, out_dir / "last.danc")
@@ -218,9 +231,6 @@ def cmd_train(cfg: dict, args) -> CommandOutcome:
 
 
 def cmd_separate(cfg: dict, args) -> CommandOutcome:
-    from .dsp import read_wav, write_wav
-    from .pipeline import load_checkpoint, separate
-
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.is_file():
         raise ConfigError(f"separate.checkpoint: file not found: {ckpt_path}")
@@ -239,8 +249,6 @@ def cmd_separate(cfg: dict, args) -> CommandOutcome:
         write_wav(path, wave)
         paths.append(str(path))
     # Sigmoid masks need not partition the mixture; report the gap.
-    import numpy as np
-
     total = np.sum([w.samples for w in outs], axis=0)
     residual = float(np.linalg.norm(total - mixture.samples)
                      / max(np.linalg.norm(mixture.samples), 1e-300))
@@ -251,27 +259,24 @@ def cmd_separate(cfg: dict, args) -> CommandOutcome:
 
 
 def cmd_eval(cfg: dict, args) -> CommandOutcome:
-    from .bsseval import EvalConfig, evaluate_set
-    from .pipeline import load_checkpoint
-
     manifest = Path(args.manifest)
     if not manifest.is_file():
         raise ConfigError(f"eval.manifest: file not found: {manifest}")
     algo = cfg["eval.algo"]
+    if algo in ("kmeans", "gmm") and not args.checkpoint:
+        raise ConfigError(f"eval.algo={algo} requires --checkpoint")
     ckpt = None
-    if algo in ("kmeans", "gmm"):
-        if not args.checkpoint:
-            raise ConfigError(f"eval.algo={algo} requires --checkpoint")
+    if args.checkpoint:
         ckpt_path = Path(args.checkpoint)
         if not ckpt_path.is_file():
             raise ConfigError(f"eval.checkpoint: file not found: {ckpt_path}")
         ckpt = load_checkpoint(ckpt_path)
+    # The oracles mask at the run's geometry: the checkpoint's, else stft.*.
+    stft_cfg = ckpt.stft_cfg if ckpt is not None else _build(StftConfig, cfg, "stft")
     out_csv = Path(args.out)
     out_csv.parent.mkdir(parents=True, exist_ok=True)
-    summary = evaluate_set(manifest, ckpt, algo,
-                           EvalConfig(proj_len=cfg["eval.proj_len"],
-                                      sdr_cap=cfg["eval.sdr_cap"]),
-                           out_csv, split=cfg["eval.split"], seed=cfg["eval.seed"])
+    summary = evaluate_set(manifest, ckpt, algo, _build(EvalConfig, cfg, "eval"), out_csv,
+                           split=cfg["eval.split"], seed=cfg["eval.seed"], stft_cfg=stft_cfg)
     echo_config(cfg, out_csv.with_suffix(".config.txt"))
     if summary["count"] == 0:
         return CommandOutcome(artifacts=[str(out_csv)],
@@ -282,15 +287,11 @@ def cmd_eval(cfg: dict, args) -> CommandOutcome:
 
 
 def cmd_count_params(cfg: dict, args) -> CommandOutcome:
-    from .network import count_params
-
-    total = count_params(_arch_from(cfg))
+    total = count_params(_build(ArchSpec, cfg, "arch"))
     return CommandOutcome(summary=str(total))
 
 
 def cmd_gradcheck(cfg: dict, args) -> CommandOutcome:
-    from .network import finite_difference_check
-
     max_err, per_tensor = finite_difference_check(seed=cfg["gradcheck.seed"],
                                                   step=cfg["gradcheck.step"])
     worst = max(per_tensor, key=per_tensor.get)
@@ -310,80 +311,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate the synthetic corpus")
-    p.add_argument("--out", required=True)
-    p.add_argument("--speakers", type=int, dest="speakers")
-    p.add_argument("--utts", type=int)
-    p.add_argument("--dur", type=float)
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("mix", help="build a two-speaker mixture dataset")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--train-min", type=float, dest="train_min")
-    p.add_argument("--valid-min", type=float, dest="valid_min")
-    p.add_argument("--test-min", type=float, dest="test_min")
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("train", help="train a separation model")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr0", type=float)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--embed-dim", type=int, dest="embed_dim")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--resume", action="store_true")
-
-    p = sub.add_parser("separate", help="separate one mixture WAV")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--speakers", type=int, dest="speakers")
-    p.add_argument("--cluster", choices=["kmeans", "gmm"])
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("eval", help="score a manifest split")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--checkpoint")
-    p.add_argument("--out", required=True)
-    p.add_argument("--algo", choices=["kmeans", "gmm", "oracle_wfm",
-                                      "oracle_ibm", "mixture"])
-    p.add_argument("--split")
-    p.add_argument("--proj-len", type=int, dest="proj_len")
-
-    p = sub.add_parser("count-params", help="closed-form parameter count")
-    p.add_argument("--cell", choices=["gru", "lstm"])
-    p.add_argument("--layers", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--embed-dim", type=int, dest="embed_dim")
-    p.add_argument("--input-dim", type=int, dest="input_dim")
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--step", type=float)
+    for name, (help_text, files, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, required in files.items():
+            p.add_argument(flag, required=required)
+        for flag, key in flags.items():
+            p.add_argument(flag, dest=key, type=type(DEFAULTS[key]), choices=CHOICES.get(key))
+        if name == "train":
+            p.add_argument("--resume", action="store_true")
     return parser
 
-
-FLAG_MAPS = {
-    "synth": {"speakers": "synth.speakers", "utts": "synth.utts",
-              "dur": "synth.dur", "seed": "synth.seed"},
-    "mix": {"train_min": "mix.train_min", "valid_min": "mix.valid_min",
-            "test_min": "mix.test_min", "seed": "mix.seed"},
-    "train": {"epochs": "train.epochs", "batch_size": "train.batch_size",
-              "lr0": "train.lr0", "layers": "arch.layers", "hidden": "arch.hidden",
-              "embed_dim": "arch.embed_dim", "seed": "train.seed"},
-    "separate": {"speakers": "separate.n_speakers", "cluster": "separate.cluster",
-                 "seed": "separate.seed"},
-    "eval": {"algo": "eval.algo", "split": "eval.split", "proj_len": "eval.proj_len"},
-    "count-params": {"cell": "arch.cell", "layers": "arch.layers",
-                     "hidden": "arch.hidden", "embed_dim": "arch.embed_dim",
-                     "input_dim": "arch.input_dim"},
-    "gradcheck": {"seed": "gradcheck.seed", "step": "gradcheck.step"},
-}
 
 HANDLERS = {
     "synth": cmd_synth,
@@ -400,7 +337,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.set)
-        cfg = _apply_flags(cfg, args, FLAG_MAPS[args.command])
+        cfg = _apply_flags(cfg, args)
         outcome = HANDLERS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,11 @@
 the clustering-based separation procedure used at test time."""
 
 import csv
+import os
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -12,6 +14,7 @@ from . import corpus as corpus_mod
 from .clustering import cluster_attractors
 from .dsp import (
     FEATURE_FLOOR_EPS,
+    SAMPLE_RATE,
     StftConfig,
     Waveform,
     feature_stats,
@@ -77,8 +80,8 @@ class AdamState:
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+              lr: float, beta1: float = HyperParams.beta1,
+              beta2: float = HyperParams.beta2, eps: float = HyperParams.eps) -> None:
     """Standard bias-corrected Adam update, in place."""
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
@@ -153,17 +156,16 @@ def _tensor_stream(ckpt: Checkpoint) -> list[np.ndarray]:
             + [ckpt.params.feat_mean, ckpt.params.feat_std])
 
 
+def _fields_header(prefix: str, obj) -> list[tuple[str, object]]:
+    return [(f"{prefix}.{f.name}", getattr(obj, f.name)) for f in fields(obj)]
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    arch, cfg = ckpt.arch, ckpt.stft_cfg
+    """Write via a temp file in the same directory, so an interrupted write
+    leaves any previous checkpoint at `path` intact."""
     header_items = [
-        ("arch.input_dim", arch.input_dim),
-        ("arch.num_layers", arch.num_layers),
-        ("arch.hidden_per_direction", arch.hidden_per_direction),
-        ("arch.embed_dim", arch.embed_dim),
-        ("arch.cell_kind", arch.cell_kind),
-        ("stft.win_len", cfg.win_len),
-        ("stft.hop", cfg.hop),
-        ("stft.fft_size", cfg.fft_size),
+        *_fields_header("arch", ckpt.arch),
+        *_fields_header("stft", ckpt.stft_cfg),
         ("sample_rate", ckpt.sample_rate),
         ("epoch", ckpt.epoch),
         ("lr", repr(ckpt.lr)),
@@ -172,13 +174,34 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         ("adam_t", ckpt.adam.t),
     ]
     header = "".join(f"{k}={v}\n" for k, v in header_items).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", ckpt.version))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for tensor in _tensor_stream(ckpt):
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", ckpt.version))
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            for tensor in _tensor_stream(ckpt):
+                fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _header_value(header: dict[str, str], key: str, kind, path):
+    if key not in header:
+        raise ValueError(f"{path}: checkpoint header lacks {key}")
+    try:
+        return kind(header[key])
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad checkpoint header value {key}={header[key]!r}") from exc
+
+
+def _fields_from_header(cls, prefix: str, header: dict[str, str], path):
+    return cls(**{f.name: _header_value(header, f"{prefix}.{f.name}", f.type, path)
+                  for f in fields(cls)})
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -190,16 +213,15 @@ def load_checkpoint(path) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     header_len = struct.unpack("<I", blob[8:12])[0]
-    header = dict(line.split("=", 1)
-                  for line in blob[12:12 + header_len].decode().splitlines())
+    if 12 + header_len > len(blob):
+        raise ValueError(f"{path}: header length {header_len} points past the end "
+                         f"of the {len(blob)}-byte file")
+    # A malformed line cannot supply a key; _header_value reports the key.
+    header = dict(line.partition("=")[::2]
+                  for line in blob[12:12 + header_len].decode(errors="replace").splitlines())
 
-    arch = ArchSpec(input_dim=int(header["arch.input_dim"]),
-                    num_layers=int(header["arch.num_layers"]),
-                    hidden_per_direction=int(header["arch.hidden_per_direction"]),
-                    embed_dim=int(header["arch.embed_dim"]),
-                    cell_kind=header["arch.cell_kind"])
-    cfg = StftConfig(win_len=int(header["stft.win_len"]), hop=int(header["stft.hop"]),
-                     fft_size=int(header["stft.fft_size"]))
+    arch = _fields_from_header(ArchSpec, "arch", header, path)
+    cfg = _fields_from_header(StftConfig, "stft", header, path)
 
     shapes = tensor_shapes(arch)
     offset = 12 + header_len
@@ -223,13 +245,13 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes")
 
     params = ModelParams(arch, tensors, feat_mean, feat_std)
-    adam = AdamState(m, v, int(header["adam_t"]))
+    adam = AdamState(m, v, _header_value(header, "adam_t", int, path))
     return Checkpoint(params=params, adam=adam, stft_cfg=cfg,
-                      sample_rate=int(header["sample_rate"]),
-                      epoch=int(header["epoch"]),
-                      best_val_loss=float(header["best_val_loss"]),
-                      lr=float(header["lr"]),
-                      epochs_since_best=int(header["epochs_since_best"]),
+                      sample_rate=_header_value(header, "sample_rate", int, path),
+                      epoch=_header_value(header, "epoch", int, path),
+                      best_val_loss=_header_value(header, "best_val_loss", float, path),
+                      lr=_header_value(header, "lr", float, path),
+                      epochs_since_best=_header_value(header, "epochs_since_best", int, path),
                       version=version)
 
 
@@ -273,18 +295,23 @@ class TrainResult:
     log: TrainLog
 
 
-def _load_split(records: list[corpus_mod.MixtureRecord], cfg: StftConfig,
-                tau: float = 0.5) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+def mixture_masks(mix: Waveform, sources: list[Waveform], cfg: StftConfig):
+    """The mixture's spectrogram and magnitude, and the sources' ideal soft
+    masks at the same geometry."""
+    spec = stft(mix, cfg)
+    masks = wiener_like_masks([magnitude(stft(s, cfg)) for s in sources])
+    return spec, magnitude(spec), masks
+
+
+def _load_split(records: list[corpus_mod.MixtureRecord],
+                cfg: StftConfig) -> list[tuple[np.ndarray, np.ndarray, list[np.ndarray]]]:
     """Raw log-feature and mask material per utterance (stats applied later)."""
     out = []
     for rec in records:
-        mix = read_wav(rec.mixture_path)
-        spec = stft(mix, cfg)
-        mix_mag = magnitude(spec)
-        source_mags = [magnitude(stft(read_wav(p), cfg)) for p in rec.source_paths]
-        masks = [binarize(m, tau) for m in wiener_like_masks(source_mags)]
-        raw_logmag = log_features(mix_mag, FEATURE_FLOOR_EPS)
-        out.append((raw_logmag, mix_mag, masks))
+        _, mix_mag, masks = mixture_masks(read_wav(rec.mixture_path),
+                                          [read_wav(p) for p in rec.source_paths], cfg)
+        out.append((log_features(mix_mag, FEATURE_FLOOR_EPS), mix_mag,
+                    [binarize(m) for m in masks]))
     return out
 
 
@@ -348,7 +375,7 @@ def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
 
     def snapshot(epoch) -> Checkpoint:
         return Checkpoint(params=params.copy(), adam=adam.copy(), stft_cfg=stft_cfg,
-                          sample_rate=8000, epoch=epoch, best_val_loss=schedule.best,
+                          sample_rate=SAMPLE_RATE, epoch=epoch, best_val_loss=schedule.best,
                           lr=schedule.lr, epochs_since_best=schedule.since_best)
 
     for epoch in range(start_epoch + 1, start_epoch + hyper.epochs + 1):

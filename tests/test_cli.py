@@ -5,8 +5,10 @@ import wave as wavefile
 import numpy as np
 import pytest
 
-from danet.cli import main
-from danet.dsp import Waveform, read_wav, write_wav
+from danet.bsseval import EvalConfig, evaluate_set
+from danet.cli import DEFAULTS, main
+from danet.dsp import StftConfig, Waveform, read_wav, write_wav
+from danet.network import ArchSpec, count_params, finite_difference_check
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +109,19 @@ class TestSeparateCommand:
         b = (tmp_path / "gmm" / (mix_wav.stem + "_spk1.wav")).read_bytes()
         assert a != b
 
+    def test_incomplete_checkpoint_header_reported(self, workspace, tmp_path, capsys):
+        blob = (workspace / "run" / "checkpoint.danc").read_bytes()
+        header_len = int.from_bytes(blob[8:12], "little")
+        header = blob[12:12 + header_len].replace(b"arch.embed_dim=4\n", b"")
+        bad = tmp_path / "bad.danc"
+        bad.write_bytes(blob[:8] + len(header).to_bytes(4, "little") + header
+                        + blob[12 + header_len:])
+        mix_wav = next((workspace / "mix" / "test").glob("*_mix.wav"))
+        rc = main(["separate", "--checkpoint", str(bad), "--input", str(mix_wav),
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert "bad.danc: checkpoint header lacks arch.embed_dim" in capsys.readouterr().err
+
     def test_missing_checkpoint_exits_2(self, workspace, tmp_path):
         mix_wav = next((workspace / "mix" / "test").glob("*_mix.wav"))
         rc = main(["separate", "--checkpoint", str(tmp_path / "none.danc"),
@@ -134,6 +149,25 @@ class TestEvalCommand:
         assert lines[-1].startswith("MEAN,")
         assert lines[1].endswith("n/a")
 
+    def test_oracle_uses_the_run_stft_geometry(self, workspace, tmp_path):
+        manifest = str(workspace / "mix" / "manifest.jsonl")
+        ckpt = str(workspace / "run" / "checkpoint.danc")
+
+        def report(name, overrides=(), checkpoint=()):
+            out = tmp_path / f"{name}.csv"
+            assert main([*overrides, "eval", "--manifest", manifest, "--algo", "oracle_wfm",
+                         "--out", str(out), "--proj-len", "32", *checkpoint]) == 0
+            return out.read_text()
+
+        default = report("default")
+        hop32 = report("hop32", ["--set", "stft.hop=32"])
+        assert hop32 != default
+        evaluate_set(manifest, None, "oracle_wfm", EvalConfig(proj_len=32),
+                     tmp_path / "direct.csv", stft_cfg=StftConfig(hop=32))
+        assert hop32 == (tmp_path / "direct.csv").read_text()
+        # A checkpoint's own geometry (256/64 here) wins over stft.* keys.
+        assert report("ckpt", ["--set", "stft.hop=32"], ["--checkpoint", ckpt]) == default
+
     def test_model_eval_requires_checkpoint(self, workspace, tmp_path):
         rc = main(["eval", "--manifest", str(workspace / "mix" / "manifest.jsonl"),
                    "--algo", "gmm", "--out", str(tmp_path / "r.csv")])
@@ -157,6 +191,18 @@ class TestDiagnostics:
         assert main(["count-params", "--cell", "lstm"]) == 0
         assert capsys.readouterr().out.strip() == "9079380"
 
+    def test_count_params_flags_reach_the_arch(self, capsys):
+        assert main(["count-params", "--cell", "lstm", "--layers", "2", "--hidden", "3",
+                     "--embed-dim", "4", "--input-dim", "5"]) == 0
+        expected = count_params(ArchSpec(input_dim=5, num_layers=2, hidden_per_direction=3,
+                                         embed_dim=4, cell_kind="lstm"))
+        assert capsys.readouterr().out.strip() == str(expected)
+
+    def test_gradcheck_flags_reach_the_check(self, capsys):
+        assert main(["gradcheck", "--seed", "3", "--step", "1e-6"]) == 0
+        max_err, _ = finite_difference_check(seed=3, step=1e-6)
+        assert f"max relative gradient error {max_err:.3e}" in capsys.readouterr().out
+
     def test_gradcheck_passes(self, capsys):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
@@ -174,6 +220,30 @@ class TestConfigPlumbing:
                      "count-params"]) == 0
         overridden = int(capsys.readouterr().out)
         assert overridden < base
+
+    def test_defaults_are_pinned(self):
+        """The user-facing keys; renaming a dataclass field must not rename one."""
+        assert sorted(DEFAULTS.items()) == [
+            ("arch.cell", "gru"), ("arch.embed_dim", 20), ("arch.hidden", 300),
+            ("arch.input_dim", 129), ("arch.layers", 4),
+            ("eval.algo", "gmm"), ("eval.proj_len", 512), ("eval.sdr_cap", 100.0),
+            ("eval.seed", 0), ("eval.split", "test"),
+            ("gradcheck.seed", 0), ("gradcheck.step", 1e-5),
+            ("mix.seed", 0), ("mix.snr_hi", 3.0), ("mix.snr_lo", -3.0),
+            ("mix.test_min", 2.0), ("mix.train_min", 6.0), ("mix.valid_min", 2.0),
+            ("separate.cluster", "gmm"), ("separate.n_speakers", 2), ("separate.seed", 0),
+            ("stft.fft_size", 256), ("stft.hop", 64), ("stft.win_len", 256),
+            ("synth.dur", 3.0), ("synth.seed", 0), ("synth.speakers", 12), ("synth.utts", 20),
+            ("train.batch_size", 8), ("train.beta1", 0.9), ("train.beta2", 0.999),
+            ("train.epochs", 50), ("train.eps", 1e-8), ("train.grad_clip", 200.0),
+            ("train.lr0", 1e-3), ("train.lr_min", 1e-6), ("train.patience", 3),
+            ("train.seed", 0),
+        ]
+        assert {k: type(v) for k, v in DEFAULTS.items() if isinstance(v, float)} == {
+            k: float for k in ("eval.sdr_cap", "gradcheck.step", "mix.snr_hi", "mix.snr_lo",
+                               "mix.test_min", "mix.train_min", "mix.valid_min",
+                               "synth.dur", "train.beta1", "train.beta2", "train.eps",
+                               "train.grad_clip", "train.lr0", "train.lr_min")}
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         rc = main(["--set", "train.warp=9", "count-params"])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from danet import pipeline
 from danet.corpus import DatasetRecipe, build_dataset, synth_corpus
 from danet.dsp import StftConfig, Waveform
 from danet.network import ArchSpec, init_params
@@ -168,6 +169,75 @@ class TestCheckpointIO:
         path.write_bytes(blob[:len(blob) - 100])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
+
+    def test_header_text_is_pinned(self, tmp_path):
+        path = tmp_path / "c.danc"
+        save_checkpoint(self.fresh(), path)
+        blob = path.read_bytes()
+        header_len = int.from_bytes(blob[8:12], "little")
+        assert blob[12:12 + header_len].decode() == (
+            "arch.input_dim=129\n"
+            "arch.num_layers=1\n"
+            "arch.hidden_per_direction=8\n"
+            "arch.embed_dim=4\n"
+            "arch.cell_kind=gru\n"
+            "stft.win_len=256\n"
+            "stft.hop=64\n"
+            "stft.fft_size=256\n"
+            "sample_rate=8000\n"
+            "epoch=9\n"
+            "lr=0.00025\n"
+            "best_val_loss=123.456\n"
+            "epochs_since_best=2\n"
+            "adam_t=17\n")
+
+    def edit_header(self, path, old: bytes, new: bytes):
+        """Replace text in a saved checkpoint's header, fixing its length."""
+        blob = path.read_bytes()
+        header_len = int.from_bytes(blob[8:12], "little")
+        header = blob[12:12 + header_len]
+        assert old in header
+        header = header.replace(old, new)
+        path.write_bytes(blob[:8] + len(header).to_bytes(4, "little") + header
+                         + blob[12 + header_len:])
+
+    def test_missing_header_key_named(self, tmp_path):
+        path = tmp_path / "c.danc"
+        save_checkpoint(self.fresh(), path)
+        self.edit_header(path, b"stft.hop=64\n", b"")
+        with pytest.raises(ValueError, match=r"c\.danc: checkpoint header lacks stft\.hop"):
+            load_checkpoint(path)
+
+    def test_unparseable_header_value_named(self, tmp_path):
+        path = tmp_path / "c.danc"
+        save_checkpoint(self.fresh(), path)
+        self.edit_header(path, b"epoch=9\n", b"epoch=nine\n")
+        with pytest.raises(ValueError, match=r"c\.danc: bad checkpoint header value epoch="):
+            load_checkpoint(path)
+
+    def test_header_length_past_end_rejected(self, tmp_path):
+        path = tmp_path / "c.danc"
+        save_checkpoint(self.fresh(), path)
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = len(blob).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=r"c\.danc: header length .* past the end"):
+            load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "checkpoint.danc"
+        save_checkpoint(self.fresh(seed=3), path)
+        before = path.read_bytes()
+
+        def failing_stream(ckpt):
+            yield ckpt.params.feat_mean
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline, "_tensor_stream", failing_stream)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(self.fresh(seed=4), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.danc"]
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "c.danc"
