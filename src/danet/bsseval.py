@@ -92,35 +92,35 @@ class _Projector:
             return cho_solve(solver, rhs)
         return np.linalg.lstsq(solver, rhs, rcond=None)[0]
 
-    def project(self, est: np.ndarray, indices: tuple[int, ...]) -> np.ndarray:
-        """Least-squares projection of est onto the chosen references' delays.
+    def _project(self, blocks: list[np.ndarray], indices: tuple[int, ...]) -> np.ndarray:
+        """Least-squares projection of an estimate onto the chosen references'
+        delays, from its cross-correlation block with each reference.
 
         Returns a length n + L - 1 signal (delayed copies overhang the end).
         """
-        L = self.cfg.proj_len
-        rhs = np.concatenate([_crosscorr(self.refs[i], est)[self.n - 1:self.n - 1 + L]
-                              for i in indices])
-        coefs = self._solve(indices, rhs).reshape(len(indices), L)
-        out = np.zeros(self.n + L - 1)
-        for c, i in zip(coefs, indices):
+        coefs = self._solve(indices, np.concatenate([blocks[i] for i in indices]))
+        out = np.zeros(self.n + self.cfg.proj_len - 1)
+        for c, i in zip(coefs.reshape(len(indices), -1), indices):
             out += fftconvolve(self.refs[i], c)
         return out
 
-    def decompose(self, est: np.ndarray, target_index: int):
+    def decompose(self, est: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(s_target, e_interf, e_artif) with each reference as the target."""
         est = np.asarray(est, dtype=np.float64)
         if est.size != self.n:
             raise ValueError(f"estimate length {est.size} != reference length {self.n}")
-        all_idx = tuple(range(len(self.refs)))
-        s_target = self.project(est, (target_index,))
-        p_all = self.project(est, all_idx)
-        padded = np.concatenate([est, np.zeros(self.cfg.proj_len - 1)])
-        return s_target, p_all - s_target, padded - p_all
+        L = self.cfg.proj_len
+        blocks = [_crosscorr(r, est)[self.n - 1:self.n - 1 + L] for r in self.refs]
+        p_all = self._project(blocks, tuple(range(len(self.refs))))
+        e_artif = np.concatenate([est, np.zeros(L - 1)]) - p_all
+        targets = [self._project(blocks, (j,)) for j in range(len(self.refs))]
+        return [(s, p_all - s, e_artif) for s in targets]
 
 
 def bss_decompose(est: np.ndarray, refs: list[np.ndarray], target_index: int,
                   cfg: EvalConfig = EvalConfig()):
     """(s_target, e_interf, e_artif); the three parts sum to the estimate."""
-    return _Projector(refs, cfg).decompose(est, target_index)
+    return _Projector(refs, cfg).decompose(est)[target_index]
 
 
 def _ratio_db(num: float, den: float, cap: float) -> float:
@@ -157,8 +157,8 @@ def resolve_permutation(ests: list[np.ndarray], refs: list[np.ndarray],
         raise ValueError(f"permutation search limited to {MAX_PERMUTATION_SOURCES} sources")
 
     projector = _Projector(refs, cfg)
-    table = [[_metrics_from_parts(*projector.decompose(est, j), cfg.sdr_cap)
-              for j in range(n_src)] for est in ests]
+    table = [[_metrics_from_parts(*parts, cfg.sdr_cap) for parts in projector.decompose(est)]
+             for est in ests]
 
     best_perm, best_sir = None, -np.inf
     for perm in itertools.permutations(range(n_src)):

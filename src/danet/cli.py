@@ -109,13 +109,17 @@ class CommandOutcome:
 
 def _coerce(key: str, raw: str):
     try:
-        return type(DEFAULTS[key])(raw)
+        value = type(DEFAULTS[key])(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
+    if key in CHOICES and value not in CHOICES[key]:
+        raise ConfigError(f"bad value for {key}: {raw!r} (choose from {CHOICES[key]})")
+    return value
 
 
 def load_config(config_path: str | None, overrides: list[str]) -> dict:
-    """Merge defaults, a key=value file, and --set overrides; reject unknowns."""
+    """Merge defaults, a key=value file, and --set overrides; reject unknown
+    keys, values that do not parse, and values outside a key's CHOICES."""
     cfg = dict(DEFAULTS)
     entries: list[tuple[str, str]] = []
     if config_path is not None:

@@ -5,7 +5,6 @@ covariance. Cluster centers become the attractors at test time."""
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 KMEANS_RESTARTS = 5
 EM_TOL = 1e-6
@@ -105,28 +104,29 @@ def kmeans(points: np.ndarray, k: int, max_iter: int = 100, tol: float = 1e-10,
     return best
 
 
-def _chol_logdet(cov: np.ndarray) -> tuple[np.ndarray, float]:
-    chol = np.linalg.cholesky(cov)
-    return chol, 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-
-def _log_densities(points: np.ndarray, model: GmmModel) -> np.ndarray:
-    """(n_points, k) log of weight * gaussian density."""
-    n, dim = points.shape
-    out = np.empty((n, model.weights.size))
-    for c in range(model.weights.size):
-        chol, logdet = _chol_logdet(model.covariances[c])
-        solved = solve_triangular(chol, (points - model.means[c]).T, lower=True)
-        maha = np.sum(solved * solved, axis=0)
-        out[:, c] = (np.log(model.weights[c]) - 0.5 * maha
-                     - 0.5 * (dim * np.log(2.0 * np.pi) + logdet))
-    return out
-
-
-def _log_norm(log_dens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _e_step(points: np.ndarray, model: GmmModel):
+    """Log responsibilities (n, k) and per-point log-likelihoods (n,), plus
+    inv(L) and log det cov from the one Cholesky factor L of each covariance
+    (stacked over components), which the prior's terms reuse."""
+    chol = np.linalg.cholesky(model.covariances)
+    inv_chol = np.linalg.inv(chol)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    z = inv_chol @ (points.T - model.means[:, :, None])
+    log_dens = (np.log(model.weights) - 0.5 * np.einsum("kdn,kdn->nk", z, z)
+                - 0.5 * (points.shape[1] * np.log(2.0 * np.pi) + logdet))
     top = log_dens.max(axis=1, keepdims=True)
     lse = top[:, 0] + np.log(np.sum(np.exp(log_dens - top), axis=1))
-    return log_dens - lse[:, None], lse
+    return log_dens - lse[:, None], lse, inv_chol, logdet
+
+
+def _moments(points: np.ndarray, resp: np.ndarray):
+    """Mass (k,), means (k, dim) and symmetrised scatter matrices (k, dim, dim)
+    of the points weighted by each column of resp."""
+    mass = resp.sum(axis=0) + 1e-300
+    means = (resp.T @ points) / mass[:, None]
+    centred = points.T - means[:, :, None]
+    scatter = (centred * resp.T[:, None, :]) @ centred.transpose(0, 2, 1)
+    return mass, means, 0.5 * (scatter + scatter.transpose(0, 2, 1))
 
 
 def default_regularization(points: np.ndarray) -> float:
@@ -135,72 +135,27 @@ def default_regularization(points: np.ndarray) -> float:
     return max(1e-6 * global_cov_trace / points.shape[1], 1e-10)
 
 
-@dataclass(frozen=True)
-class _CovPrior:
-    """Conjugate (inverse-Wishart-like) prior on each component covariance:
-    log p(cov) = -strength / 2 * (log det cov + tr(scale @ inv(cov))) + const.
-
-    strength is an even share n / k of the points. scale is the pooled
-    within-cluster covariance of the k-means initialization plus 2 * reg * I,
-    so a component holding an even share gets the mean of its sample
-    covariance and the pooled one, plus reg * I.
-    """
-    strength: float
-    scale: np.ndarray
-
-    @classmethod
-    def from_partition(cls, points: np.ndarray, resp: np.ndarray, reg: float) -> "_CovPrior":
-        n, dim = points.shape
-        scatter = sum(_scatters(points, resp, _weighted_means(points, resp)[1]))
-        return cls(n / resp.shape[1], scatter / n + 2.0 * reg * np.eye(dim))
-
-    def penalty(self, covariances: np.ndarray, n: int) -> float:
-        """Negative log-prior of the covariances, per point."""
-        total = 0.0
-        for cov in covariances:
-            _, logdet = np.linalg.slogdet(cov)
-            total += logdet + float(np.trace(np.linalg.solve(cov, self.scale)))
-        return 0.5 * self.strength / n * total
-
-
-def _weighted_means(points: np.ndarray, resp: np.ndarray):
-    mass = resp.sum(axis=0) + 1e-300
-    return mass, (resp.T @ points) / mass[:, None]
-
-
-def _scatters(points: np.ndarray, resp: np.ndarray, means: np.ndarray) -> list[np.ndarray]:
-    out = []
-    for c in range(resp.shape[1]):
-        diff = points - means[c]
-        scatter = (resp[:, c][:, None] * diff).T @ diff
-        out.append(0.5 * (scatter + scatter.T))
-    return out
-
-
-def _map_step(points: np.ndarray, resp: np.ndarray, prior: _CovPrior):
-    """Weights, means and covariances that exactly maximise the expected
-    complete-data log-likelihood plus the covariance log-prior."""
-    mass, means = _weighted_means(points, resp)
-    covariances = np.stack([(scatter + prior.strength * prior.scale) / (m + prior.strength)
-                            for scatter, m in zip(_scatters(points, resp, means), mass)])
-    return mass / mass.sum(), means, covariances
-
-
 def gmm_fit(points: np.ndarray, k: int, max_iter: int = EM_MAX_ITER,
             tol: float = EM_TOL, reg: float | None = None,
             seed: int = 0) -> GmmModel:
     """MAP-EM with one full covariance matrix per component.
 
-    Initialized from a k-means run. Each covariance carries the conjugate
-    prior of `_CovPrior`, which shrinks it towards the pooled within-cluster
-    covariance of that run and adds a floor set by reg (default
-    `default_regularization`), so every covariance stays positive-definite
-    and no component can widen to take in a speaker together with the
-    diffuse low-energy bins. EM maximises the mean log-likelihood minus the
-    per-point prior penalty; `ll_history` records that objective at every
-    iteration, EM stops when its gain drops below tol, and it is checked to
-    be non-decreasing (1e-9 slack). `log_likelihood` is the plain mean
-    log-likelihood of the final model.
+    Initialized from a k-means run. Each covariance carries a conjugate
+    (inverse-Wishart-like) prior,
+        log p(cov) = -strength / 2 * (log det cov + tr(inv(cov) @ scale)) + const,
+    with strength an even share n / k of the points and scale the pooled
+    within-cluster covariance of the k-means run plus 2 * reg * I (reg
+    defaults to `default_regularization`). A component holding an even share
+    thus gets the mean of its sample covariance and the pooled one, plus
+    reg * I: every covariance stays positive-definite and no component can
+    widen to take in a speaker together with the diffuse low-energy bins.
+    The M-step, (scatter + strength * scale) / (mass + strength), is the
+    exact maximiser, for the k-means partition and every E-step alike. EM
+    maximises the mean log-likelihood minus the per-point prior penalty;
+    `ll_history` records that objective at every iteration, EM stops when
+    its gain drops below tol, and it is checked to be non-decreasing (1e-9
+    slack). `log_likelihood` is the plain mean log-likelihood of the final
+    model.
     """
     points = np.asarray(points, dtype=np.float64)
     n, dim = points.shape
@@ -211,35 +166,34 @@ def gmm_fit(points: np.ndarray, k: int, max_iter: int = EM_MAX_ITER,
     if reg <= 0:
         raise ValueError(f"reg must be positive, got {reg}")
 
-    km = kmeans(points, k, seed=seed)
-    hard = (km.assignments[:, None] == np.arange(k)).astype(np.float64)
-    prior = _CovPrior.from_partition(points, hard, reg)
-    model = GmmModel(*_map_step(points, hard, prior), -np.inf)
+    hard = kmeans(points, k, seed=seed).assignments[:, None] == np.arange(k)
+    mass, means, scatter = _moments(points, hard.astype(np.float64))
+    strength, scale = n / k, scatter.sum(axis=0) / n + 2.0 * reg * np.eye(dim)
 
-    prev = -np.inf
-    for _ in range(max_iter):
-        log_resp, lse = _log_norm(_log_densities(points, model))
-        objective = float(np.mean(lse)) - prior.penalty(model.covariances, n)
+    history, prev, done = [], -np.inf, max_iter <= 0
+    while True:
+        model = GmmModel(mass / mass.sum(), means,
+                         (scatter + strength * scale) / (mass + strength)[:, None, None],
+                         -np.inf, history)
+        log_resp, lse, inv_chol, logdet = _e_step(points, model)
+        if done:
+            model.log_likelihood = float(np.mean(lse))
+            return model
+        trace = np.sum((inv_chol @ scale) * inv_chol)  # sum of tr(inv(cov) @ scale)
+        objective = float(np.mean(lse)) - 0.5 * strength / n * float(np.sum(logdet) + trace)
         if objective + LL_SLACK * max(1.0, abs(prev)) < prev:
             raise FloatingPointError(
                 f"EM objective decreased: {prev} -> {objective}")
-        model.ll_history.append(objective)
-        model.weights, model.means, model.covariances = _map_step(
-            points, np.exp(log_resp), prior)
-        if objective - prev < tol and np.isfinite(prev):
-            break
+        history.append(objective)
+        mass, means, scatter = _moments(points, np.exp(log_resp))
+        done = len(history) == max_iter or (objective - prev < tol and np.isfinite(prev))
         prev = objective
-
-    _, lse = _log_norm(_log_densities(points, model))
-    model.log_likelihood = float(np.mean(lse))
-    return model
 
 
 def gmm_posterior(model: GmmModel, points: np.ndarray) -> np.ndarray:
     """Responsibility matrix (rows on the simplex), log-sum-exp stabilized."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    log_resp, _ = _log_norm(_log_densities(points, model))
-    return np.exp(log_resp)
+    return np.exp(_e_step(points, model)[0])
 
 
 def cluster_attractors(V: np.ndarray, n_speakers: int, algo: str = "gmm",

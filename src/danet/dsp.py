@@ -175,12 +175,17 @@ def log_features(mag: np.ndarray, floor_eps: float = FEATURE_FLOOR_EPS,
         raise ValueError(f"floor_eps must be positive, got {floor_eps}")
     if np.any(mag < 0):
         raise ValueError("magnitude matrix has negative entries")
-    feats = np.log(np.maximum(mag, floor_eps))
+    return standardize(np.log(np.maximum(mag, floor_eps)), mean, std)
+
+
+def standardize(feats: np.ndarray, mean: np.ndarray | None = None,
+                std: np.ndarray | None = None) -> np.ndarray:
+    """(feats - mean) / std per frequency row, std floored at 1e-8; an omitted
+    statistic is the identity."""
     if mean is not None:
         feats = feats - np.asarray(mean, dtype=np.float64)[:, None]
     if std is not None:
-        safe = np.maximum(np.asarray(std, dtype=np.float64), 1e-8)
-        feats = feats / safe[:, None]
+        feats = feats / np.maximum(np.asarray(std, dtype=np.float64), 1e-8)[:, None]
     return feats
 
 

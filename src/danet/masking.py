@@ -5,7 +5,6 @@ import numpy as np
 from .dsp import ComplexSpectrogram, StftConfig
 
 DEFAULT_TAU = 0.5
-ENERGY_GATE_DB = -40.0
 
 
 def wiener_like_masks(source_mags: list[np.ndarray]) -> list[np.ndarray]:
@@ -50,17 +49,3 @@ def apply_mask(mix_mag: np.ndarray, mask: np.ndarray, mix_phase: np.ndarray,
         )
     bins = (mask * mix_mag) * np.exp(1j * mix_phase)
     return ComplexSpectrogram(bins=bins, source_len=source_len, cfg=cfg)
-
-
-def energy_gate(mix_mag: np.ndarray, threshold_db: float = ENERGY_GATE_DB) -> np.ndarray:
-    """Boolean keep-mask for bins within threshold_db of the loudest bin.
-
-    Optional preprocessing gate; nothing in the default training or inference
-    path applies it.
-    """
-    mix_mag = np.asarray(mix_mag, dtype=np.float64)
-    peak = mix_mag.max()
-    if peak == 0:
-        return np.zeros_like(mix_mag, dtype=bool)
-    floor = peak * 10.0 ** (threshold_db / 20.0)
-    return mix_mag >= floor

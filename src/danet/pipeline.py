@@ -23,6 +23,7 @@ from .dsp import (
     magnitude,
     phase,
     read_wav,
+    standardize,
     stft,
 )
 from .masking import apply_mask, binarize, wiener_like_masks
@@ -315,12 +316,6 @@ def _load_split(records: list[corpus_mod.MixtureRecord],
     return out
 
 
-def _standardize(raw, mean, std) -> list[_Utterance]:
-    safe = np.maximum(std, 1e-8)
-    return [_Utterance((logmag - mean[:, None]) / safe[:, None], mag, masks)
-            for logmag, mag, masks in raw]
-
-
 def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
           stft_cfg: StftConfig = StftConfig(), resume_from: Checkpoint | None = None,
           progress=None) -> TrainResult:
@@ -359,8 +354,8 @@ def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
         schedule = LrSchedule(hyper.lr0, hyper.lr_halve_patience, hyper.lr_min)
         start_epoch = 0
 
-    train_utts = _standardize(raw_train, mean, std)
-    valid_utts = _standardize(raw_valid, mean, std)
+    train_utts, valid_utts = ([_Utterance(standardize(f, mean, std), mag, masks)
+                               for f, mag, masks in raw] for raw in (raw_train, raw_valid))
 
     def validation_loss() -> float:
         total = 0.0

@@ -253,3 +253,23 @@ class TestConfigPlumbing:
     def test_bad_value_rejected(self, capsys):
         rc = main(["--set", "train.epochs=soon", "count-params"])
         assert rc == 2
+
+    def test_bad_choice_from_set_rejected_before_reading_data(self, workspace, tmp_path,
+                                                               capsys):
+        out = tmp_path / "r.csv"
+        rc = main(["--set", "eval.algo=nope", "eval", "--manifest",
+                   str(workspace / "mix" / "manifest.jsonl"), "--out", str(out)])
+        assert rc == 2
+        assert "eval.algo" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_choice_from_config_file_rejected(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("separate.cluster=nope\n")
+        mix_wav = next((workspace / "mix" / "test").glob("*_mix.wav"))
+        rc = main(["--config", str(cfg), "separate", "--checkpoint",
+                   str(workspace / "run" / "checkpoint.danc"), "--input", str(mix_wav),
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "separate.cluster" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_spk*.wav"))

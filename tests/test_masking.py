@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from danet.dsp import StftConfig, Waveform, istft, magnitude, phase, stft
-from danet.masking import apply_mask, binarize, energy_gate, wiener_like_masks
+from danet.masking import apply_mask, binarize, wiener_like_masks
 
 
 class TestWienerLikeMasks:
@@ -113,13 +113,3 @@ class TestApplyMask:
             est = istft(apply_mask(magnitude(spec), mask, phase(spec),
                                    spec.source_len, spec.cfg))
             assert err(est.samples, ref) < err(mix.samples, ref)
-
-
-class TestEnergyGate:
-    def test_keeps_loud_bins(self):
-        mag = np.array([[1.0, 0.011, 0.009]])
-        keep = energy_gate(mag, threshold_db=-40.0)
-        assert keep.tolist() == [[True, True, False]]
-
-    def test_silent_matrix_keeps_nothing(self):
-        assert not energy_gate(np.zeros((3, 3))).any()
