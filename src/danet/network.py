@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit as _sigmoid
 
-GATE_ORDER = "zrn"  # row-block order inside stacked gate tensors
+DIRECTIONS = ("fw", "bw")  # stacking order in the layer code and in checkpoints
+CELL_TENSORS = ("W", "U", "b_i", "b_h")
 
 
 @dataclass(frozen=True)
@@ -91,14 +92,11 @@ class ModelParams:
 
     def cell(self, layer: int, direction: str) -> dict[str, np.ndarray]:
         prefix = f"l{layer}.{direction}."
-        return {k: self.tensors[prefix + k] for k in ("W", "U", "b_i", "b_h")}
+        return {k: self.tensors[prefix + k] for k in CELL_TENSORS}
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.arch, {k: v.copy() for k, v in self.tensors.items()},
                            self.feat_mean.copy(), self.feat_std.copy())
-
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.tensors.items()}
 
 
 def tensor_shapes(arch: ArchSpec) -> dict[str, tuple]:
@@ -108,7 +106,7 @@ def tensor_shapes(arch: ArchSpec) -> dict[str, tuple]:
     shapes: dict[str, tuple] = {}
     for layer in range(arch.num_layers):
         d_in = arch.layer_input(layer)
-        for direction in ("fw", "bw"):
+        for direction in DIRECTIONS:
             prefix = f"l{layer}.{direction}."
             shapes[prefix + "W"] = (3 * h, d_in)
             shapes[prefix + "U"] = (3 * h, h)
@@ -146,115 +144,99 @@ def gru_cell(x: np.ndarray, h_prev: np.ndarray, cell: dict[str, np.ndarray]) -> 
     return (1.0 - z) * n + z * h_prev
 
 
-class _DirectionCache:
-    """Per-timestep activations kept for backpropagation through time."""
+def _reverse_bw(pair) -> np.ndarray:
+    """Stack a (fw, bw) pair of (B, T, ...) arrays with the bw time axis reversed.
 
-    __slots__ = ("z", "r", "n", "rn", "h", "reverse")
-
-    def __init__(self, z, r, n, rn, h, reverse):
-        self.z, self.r, self.n, self.rn, self.h = z, r, n, rn, h
-        self.reverse = reverse
-
-
-def _run_direction(x_seq: np.ndarray, frame_mask: np.ndarray,
-                   cell: dict[str, np.ndarray], reverse: bool):
-    """Run one GRU direction over a padded batch.
-
-    Padded steps (frame_mask 0) carry the hidden state through unchanged, so
-    the backward direction of a short utterance starts from zeros at its true
-    last frame rather than from padding.
+    The bw direction runs forward in time over the reversed sequence; this
+    maps between that order and the original one in either direction.
     """
+    return np.stack((pair[0], pair[1][:, ::-1]))
+
+
+def _stacked_cell(params: ModelParams, layer: int):
+    """W, U, b_i, b_h of one layer, each stacked over DIRECTIONS."""
+    cells = [params.cell(layer, d) for d in DIRECTIONS]
+    return [np.stack([cell[k] for cell in cells]) for k in CELL_TENSORS]
+
+
+def _run_layer(x_seq: np.ndarray, frame_mask: np.ndarray, params: ModelParams, layer: int):
+    """Run both GRU directions of one layer over a padded batch in one time loop.
+
+    State and activations are stacked (2, B, ...) over DIRECTIONS, the bw half
+    in reversed time. Padded steps (frame_mask 0) carry the hidden state
+    through unchanged, so the bw direction of a short utterance starts from
+    zeros at its true last frame rather than from padding.
+    Returns the (B, T, 2h) output and the cache for `_backward_layer`.
+    """
+    W, U, b_i, b_h = _stacked_cell(params, layer)
     B, T, _ = x_seq.shape
-    h_dim = cell["U"].shape[1]
-    a_in = x_seq @ cell["W"].T + cell["b_i"]
+    h_dim = U.shape[2]
+    a_in = _reverse_bw([x_seq @ W[d].T + b_i[d] for d in range(2)])
+    mask = _reverse_bw((frame_mask, frame_mask))[..., None]
+    U_T = U.transpose(0, 2, 1)
+    b_h = b_h[:, None, :]
 
-    z = np.empty((B, T, h_dim))
-    r = np.empty((B, T, h_dim))
-    n = np.empty((B, T, h_dim))
-    rn = np.empty((B, T, h_dim))
-    h_seq = np.empty((B, T, h_dim))
-
-    h = np.zeros((B, h_dim))
-    order = range(T - 1, -1, -1) if reverse else range(T)
-    for t in order:
-        rec = h @ cell["U"].T + cell["b_h"]
-        z_t = _sigmoid(a_in[:, t, :h_dim] + rec[:, :h_dim])
-        r_t = _sigmoid(a_in[:, t, h_dim:2 * h_dim] + rec[:, h_dim:2 * h_dim])
-        rn_t = rec[:, 2 * h_dim:]
-        n_t = np.tanh(a_in[:, t, 2 * h_dim:] + r_t * rn_t)
+    z, r, n, rn, h_seq = (np.empty((2, B, T, h_dim)) for _ in range(5))
+    h = np.zeros((2, B, h_dim))
+    for t in range(T):
+        rec = h @ U_T + b_h
+        z_t = _sigmoid(a_in[:, :, t, :h_dim] + rec[..., :h_dim])
+        r_t = _sigmoid(a_in[:, :, t, h_dim:2 * h_dim] + rec[..., h_dim:2 * h_dim])
+        rn_t = rec[..., 2 * h_dim:]
+        n_t = np.tanh(a_in[:, :, t, 2 * h_dim:] + r_t * rn_t)
         h_new = (1.0 - z_t) * n_t + z_t * h
-        m = frame_mask[:, t][:, None]
-        h = m * h_new + (1.0 - m) * h
-        z[:, t], r[:, t], n[:, t], rn[:, t], h_seq[:, t] = z_t, r_t, n_t, rn_t, h
-    return h_seq, _DirectionCache(z, r, n, rn, h_seq, reverse)
+        m = mask[:, :, t]
+        z[:, :, t], r[:, :, t], n[:, :, t], rn[:, :, t] = z_t, r_t, n_t, rn_t
+        h_seq[:, :, t] = h = m * h_new + (1.0 - m) * h
+    out = np.concatenate(_reverse_bw(h_seq), axis=2)
+    return out, (x_seq, mask, z, r, n, rn, h_seq)
 
 
-def _h_prev_seq(cache: _DirectionCache) -> np.ndarray:
-    """Hidden state seen as input at each step (zeros at the sequence start)."""
-    h_prev = np.zeros_like(cache.h)
-    if cache.reverse:
-        h_prev[:, :-1] = cache.h[:, 1:]
-    else:
-        h_prev[:, 1:] = cache.h[:, :-1]
-    return h_prev
+def _backward_layer(d_out: np.ndarray, params: ModelParams, layer: int, cache):
+    """BPTT through both directions of one layer in one reverse-time loop.
 
+    Returns d loss / d layer input and the layer's W/U/b_i/b_h gradients by
+    tensor name.
+    """
+    x_seq, mask, z, r, n, rn, h_seq = cache
+    W, U, _, _ = _stacked_cell(params, layer)
+    _, B, T, h_dim = h_seq.shape
+    d_out = _reverse_bw(np.split(d_out, 2, axis=2))
+    h_prev = np.zeros_like(h_seq)  # state seen as input at each step
+    h_prev[:, :, 1:] = h_seq[:, :, :-1]
+    d_rec = np.empty((2, B, T, 3 * h_dim))  # pre-activation grads, recurrent side (z, r, n)
+    d_an = np.empty((2, B, T, h_dim))       # input-side n; its z and r equal d_rec's
 
-def _backward_direction(d_out: np.ndarray, x_seq: np.ndarray, frame_mask: np.ndarray,
-                        cell: dict[str, np.ndarray], cache: _DirectionCache):
-    """BPTT for one direction; returns (dx_seq, grads for W/U/b_i/b_h)."""
-    B, T, h_dim = d_out.shape
-    h_prev = _h_prev_seq(cache)
-    d_a = np.zeros((B, T, 3 * h_dim))    # pre-activation grads, input side (z, r, n)
-    d_rec = np.zeros((B, T, 3 * h_dim))  # pre-activation grads, recurrent side (z, r, n)
-
-    carry = np.zeros((B, h_dim))
-    steps = range(T) if cache.reverse else range(T - 1, -1, -1)
-    for t in steps:
-        g = d_out[:, t] + carry
-        m = frame_mask[:, t][:, None]
+    carry = np.zeros((2, B, h_dim))
+    for t in range(T - 1, -1, -1):
+        g = d_out[:, :, t] + carry
+        m = mask[:, :, t]
         d_new = g * m
-        z_t, r_t, n_t, rn_t = cache.z[:, t], cache.r[:, t], cache.n[:, t], cache.rn[:, t]
-        hp = h_prev[:, t]
+        z_t, r_t, n_t, rn_t = z[:, :, t], r[:, :, t], n[:, :, t], rn[:, :, t]
 
-        dz = d_new * (hp - n_t)
-        dn = d_new * (1.0 - z_t)
         d_hp = d_new * z_t + g * (1.0 - m)
+        dan = d_an[:, :, t] = d_new * (1.0 - z_t) * (1.0 - n_t * n_t)
+        d_rec[:, :, t, :h_dim] = d_new * (h_prev[:, :, t] - n_t) * z_t * (1.0 - z_t)
+        d_rec[:, :, t, h_dim:2 * h_dim] = dan * rn_t * r_t * (1.0 - r_t)
+        d_rec[:, :, t, 2 * h_dim:] = dan * r_t
+        carry = d_hp + d_rec[:, :, t] @ U
 
-        dan = dn * (1.0 - n_t * n_t)
-        dr = dan * rn_t
-        drn = dan * r_t
-        daz = dz * z_t * (1.0 - z_t)
-        dar = dr * r_t * (1.0 - r_t)
-
-        d_a[:, t, :h_dim] = daz
-        d_a[:, t, h_dim:2 * h_dim] = dar
-        d_a[:, t, 2 * h_dim:] = dan
-        d_rec[:, t, :h_dim] = daz
-        d_rec[:, t, h_dim:2 * h_dim] = dar
-        d_rec[:, t, 2 * h_dim:] = drn
-
-        carry = d_hp + d_rec[:, t] @ cell["U"]
-
-    flat_a = d_a.reshape(B * T, 3 * h_dim)
-    flat_rec = d_rec.reshape(B * T, 3 * h_dim)
-    grads = {
-        "W": flat_a.T @ x_seq.reshape(B * T, -1),
-        "U": flat_rec.T @ h_prev.reshape(B * T, h_dim),
-        "b_i": flat_a.sum(axis=0),
-        "b_h": flat_rec.sum(axis=0),
+    # Back to the original time order, so the sums over time match a
+    # reverse-time bw loop term for term.
+    d_rec, d_an, h_prev = _reverse_bw(d_rec), _reverse_bw(d_an), _reverse_bw(h_prev)
+    d_a = np.concatenate((d_rec[..., :2 * h_dim], d_an), axis=3)
+    flat_a = d_a.reshape(2, B * T, 3 * h_dim)
+    flat_rec = d_rec.reshape(2, B * T, 3 * h_dim)
+    stacked = {
+        "W": flat_a.transpose(0, 2, 1) @ x_seq.reshape(B * T, -1),
+        "U": flat_rec.transpose(0, 2, 1) @ h_prev.reshape(2, B * T, h_dim),
+        "b_i": flat_a.sum(axis=1),
+        "b_h": flat_rec.sum(axis=1),
     }
-    dx_seq = d_a @ cell["W"]
+    grads = {f"l{layer}.{d}.{key}": g[i]
+             for i, d in enumerate(DIRECTIONS) for key, g in stacked.items()}
+    dx_seq = d_a[0] @ W[0] + d_a[1] @ W[1]
     return dx_seq, grads
-
-
-class _ForwardCache:
-    __slots__ = ("layer_inputs", "direction_caches", "layer_out", "emb")
-
-    def __init__(self):
-        self.layer_inputs = []
-        self.direction_caches = []
-        self.layer_out = None
-        self.emb = None
 
 
 def _forward_batch(x: np.ndarray, frame_mask: np.ndarray, params: ModelParams):
@@ -264,47 +246,32 @@ def _forward_batch(x: np.ndarray, frame_mask: np.ndarray, params: ModelParams):
     Returns emb (B, T, F, K) and the cache for the backward pass.
     """
     arch = params.arch
-    cache = _ForwardCache()
+    layer_caches = []
     seq = x
     for layer in range(arch.num_layers):
-        cache.layer_inputs.append(seq)
-        h_fw, c_fw = _run_direction(seq, frame_mask, params.cell(layer, "fw"), False)
-        h_bw, c_bw = _run_direction(seq, frame_mask, params.cell(layer, "bw"), True)
-        cache.direction_caches.append((c_fw, c_bw))
-        seq = np.concatenate([h_fw, h_bw], axis=2)
-    cache.layer_out = seq
+        seq, layer_cache = _run_layer(seq, frame_mask, params, layer)
+        layer_caches.append(layer_cache)
 
     B, T = x.shape[:2]
     y = seq @ params.tensors["fc.W"].T + params.tensors["fc.b"]
-    cache.emb = y.reshape(B, T, arch.input_dim, arch.embed_dim)
-    return cache.emb, cache
+    emb = y.reshape(B, T, arch.input_dim, arch.embed_dim)
+    return emb, (layer_caches, seq)
 
 
-def _backward_batch(d_emb: np.ndarray, frame_mask: np.ndarray, params: ModelParams,
-                    cache: _ForwardCache) -> dict[str, np.ndarray]:
+def _backward_batch(d_emb: np.ndarray, params: ModelParams, cache) -> dict[str, np.ndarray]:
     """Gradients of every parameter tensor given d loss / d embeddings."""
     arch = params.arch
+    layer_caches, layer_out = cache
     B, T = d_emb.shape[:2]
     dy = d_emb.reshape(B, T, arch.fc_output)
     flat_dy = dy.reshape(B * T, arch.fc_output)
-    flat_out = cache.layer_out.reshape(B * T, -1)
+    flat_out = layer_out.reshape(B * T, -1)
 
     grads = {"fc.W": flat_dy.T @ flat_out, "fc.b": flat_dy.sum(axis=0)}
     d_seq = dy @ params.tensors["fc.W"]
-
-    h = arch.hidden_per_direction
     for layer in range(arch.num_layers - 1, -1, -1):
-        c_fw, c_bw = cache.direction_caches[layer]
-        x_seq = cache.layer_inputs[layer]
-        dx_fw, g_fw = _backward_direction(d_seq[..., :h], x_seq, frame_mask,
-                                          params.cell(layer, "fw"), c_fw)
-        dx_bw, g_bw = _backward_direction(d_seq[..., h:], x_seq, frame_mask,
-                                          params.cell(layer, "bw"), c_bw)
-        for key, grad in g_fw.items():
-            grads[f"l{layer}.fw.{key}"] = grad
-        for key, grad in g_bw.items():
-            grads[f"l{layer}.bw.{key}"] = grad
-        d_seq = dx_fw + dx_bw
+        d_seq, layer_grads = _backward_layer(d_seq, params, layer, layer_caches[layer])
+        grads.update(layer_grads)
     return {name: grads[name] for name in params.tensors}
 
 
@@ -406,16 +373,25 @@ def _attractor_masks(emb, M):
     return mass, attractors, _sigmoid(scores)
 
 
+def _scored_batch(features, mix_mags, ideal_masks, params: ModelParams):
+    """Pad, embed and score a batch: the mean per-utterance loss, plus what
+    its gradient needs."""
+    x, X, M, frame_mask, n_spk = _pad_batch(features, mix_mags, ideal_masks, params.arch)
+    emb, cache = _forward_batch(x, frame_mask, params)
+    if not np.all(np.isfinite(emb)):
+        raise FloatingPointError("non-finite activations in forward pass")
+    mass, attractors, m_hat = _attractor_masks(emb, M)
+    Xsq = X * X
+    err = M - m_hat
+    count = n_spk * len(features)
+    loss = float(np.sum(Xsq[:, None] * err * err)) / count
+    return loss, (cache, emb, M, Xsq, count, mass, attractors, m_hat)
+
+
 def batch_loss(features: list[np.ndarray], mix_mags: list[np.ndarray],
                ideal_masks: list[list[np.ndarray]], params: ModelParams) -> float:
     """Mean per-utterance loss over a padded batch, forward pass only."""
-    x, X, M, frame_mask, n_spk = _pad_batch(features, mix_mags, ideal_masks, params.arch)
-    emb, _ = _forward_batch(x, frame_mask, params)
-    if not np.all(np.isfinite(emb)):
-        raise FloatingPointError("non-finite activations in forward pass")
-    _, _, m_hat = _attractor_masks(emb, M)
-    err = M - m_hat
-    return float(np.sum((X * X)[:, None] * err * err)) / (n_spk * len(features))
+    return _scored_batch(features, mix_mags, ideal_masks, params)[0]
 
 
 def batch_loss_and_grads(features: list[np.ndarray], mix_mags: list[np.ndarray],
@@ -425,25 +401,16 @@ def batch_loss_and_grads(features: list[np.ndarray], mix_mags: list[np.ndarray],
     Utterances are zero-padded to a common frame count; a per-utterance frame
     mask keeps padded frames out of the recurrences and out of the loss.
     """
-    B = len(features)
-    x, X, M, frame_mask, n_spk = _pad_batch(features, mix_mags, ideal_masks, params.arch)
+    loss, (cache, emb, M, Xsq, count, mass, attractors, m_hat) = _scored_batch(
+        features, mix_mags, ideal_masks, params)
 
-    emb, cache = _forward_batch(x, frame_mask, params)
-    if not np.all(np.isfinite(emb)):
-        raise FloatingPointError("non-finite activations in forward pass")
-
-    mass, attractors, m_hat = _attractor_masks(emb, M)
-    Xsq = X * X
-    err = M - m_hat
-    loss = float(np.sum(Xsq[:, None] * err * err)) / (n_spk * B)
-
-    d_mhat = (2.0 / (n_spk * B)) * Xsq[:, None] * (m_hat - M)
+    d_mhat = (2.0 / count) * Xsq[:, None] * (m_hat - M)
     d_scores = d_mhat * m_hat * (1.0 - m_hat)
     d_attr = np.einsum("bitf,btfk->bik", d_scores, emb)
     d_emb = np.einsum("bitf,bik->btfk", d_scores, attractors)
     d_emb += np.einsum("bik,bitf->btfk", d_attr / mass[:, :, None], M)
 
-    grads = _backward_batch(d_emb, frame_mask, params, cache)
+    grads = _backward_batch(d_emb, params, cache)
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for {name}")

@@ -35,6 +35,7 @@ from .network import (
     clip_grads,
     estimate_masks,
     forward_embed,
+    init_params,
     tensor_shapes,
 )
 
@@ -345,8 +346,6 @@ def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
         start_epoch = ckpt.epoch
         params, adam = ckpt.params, ckpt.adam
     else:
-        from .network import init_params
-
         mean, std = feature_stats([logmag for logmag, _, _ in raw_train])
         params = init_params(arch, hyper.seed)
         params.feat_mean, params.feat_std = mean, std

@@ -311,6 +311,17 @@ class TestClusterAttractors:
         A = cluster_attractors(V, 2, algo="kmeans", seed=17)
         assert np.linalg.norm(A[0]) < np.linalg.norm(A[1])  # big cluster sits near 0
 
+    @pytest.mark.parametrize("algo", ["kmeans", "gmm"])
+    @pytest.mark.parametrize("distinct, k", [(1, 2), (2, 3)])
+    def test_fewer_distinct_points_than_speakers(self, algo, distinct, k):
+        cols = np.array([[1.0, 2.0], [-3.0, 0.5]])[:distinct]
+        V = np.repeat(cols, 6, axis=0).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            A = cluster_attractors(V, k, algo=algo, seed=18)
+        assert A.shape == (k, 2)
+        assert np.all(np.isfinite(A))
+
     def test_unknown_algo_rejected(self):
         with pytest.raises(ValueError, match="algorithm"):
             cluster_attractors(np.ones((2, 4)), 1, algo="dbscan")

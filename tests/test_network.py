@@ -103,27 +103,30 @@ class TestForwardEmbed:
         V = forward_embed(np.random.default_rng(T).normal(size=(4, T)), params)
         assert V.shape == (5, 4 * T)
 
-    def test_matches_unrolled_sequential_evaluation(self):
-        # Independent plain-loop oracle: 1 layer, hidden=2/dir, F=3, K=2, T=2.
-        arch = ArchSpec(input_dim=3, num_layers=1, hidden_per_direction=2, embed_dim=2)
+    @pytest.mark.parametrize("layers, T", [(1, 2), (2, 5)])
+    def test_matches_unrolled_sequential_evaluation(self, layers, T):
+        # Independent plain-loop oracle: hidden=2/dir, F=3, K=2.
+        arch = ArchSpec(input_dim=3, num_layers=layers, hidden_per_direction=2, embed_dim=2)
         rng = np.random.default_rng(22)
         params = init_params(arch, 22)
-        feats = rng.normal(size=(3, 2))
+        feats = rng.normal(size=(3, T))
 
-        def run_dir(direction, order):
-            cell = params.cell(0, direction)
+        def run_dir(seq, layer, direction, order):
+            cell = params.cell(layer, direction)
             h = np.zeros(2)
             outs = {}
             for t in order:
-                h = gru_cell(feats[:, t], h, cell)
+                h = gru_cell(seq[t], h, cell)
                 outs[t] = h
             return outs
 
-        fw = run_dir("fw", [0, 1])
-        bw = run_dir("bw", [1, 0])
+        seq = list(feats.T)
+        for layer in range(layers):
+            fw = run_dir(seq, layer, "fw", range(T))
+            bw = run_dir(seq, layer, "bw", reversed(range(T)))
+            seq = [np.concatenate([fw[t], bw[t]]) for t in range(T)]
         expected_cols = []
-        for t in range(2):
-            o = np.concatenate([fw[t], bw[t]])
+        for o in seq:
             y = params.tensors["fc.W"] @ o + params.tensors["fc.b"]
             block = y.reshape(3, 2)  # (F, K) for this frame
             for f in range(3):

@@ -1,5 +1,7 @@
 """Training-loop machinery tests: Adam, LR schedule, checkpoints, separation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -360,6 +362,21 @@ class TestSeparate:
     def test_bad_speaker_count_rejected(self, toy_ckpt):
         with pytest.raises(ValueError, match="n_speakers"):
             separate(self.mixture(), toy_ckpt, n_speakers=0)
+
+    @pytest.mark.parametrize("algo", ["gmm", "kmeans"])
+    @pytest.mark.parametrize("n_speakers", [2, 5])
+    @pytest.mark.parametrize("samples", [np.zeros(8000), np.full(1, 0.1), np.full(3, 0.1)],
+                             ids=["silent_1s", "1_sample", "3_samples"])
+    def test_degenerate_mixtures_give_finite_outputs(self, toy_ckpt, samples, n_speakers,
+                                                     algo):
+        mix = Waveform(samples, 8000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outs = separate(mix, toy_ckpt, n_speakers=n_speakers, algo=algo)
+        assert len(outs) == n_speakers
+        for out in outs:
+            assert out.samples.size == samples.size
+            assert np.all(np.isfinite(out.samples))
 
 
 class TestTrainLogCsv:
