@@ -8,13 +8,15 @@ can be reproduced from its output directory.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from .bsseval import EvalConfig, evaluate_set
+from .bsseval import EVAL_ALGOS, EvalConfig, evaluate_set
 from .corpus import DatasetRecipe, build_dataset, scan_corpus, synth_corpus
 from .dsp import StftConfig, read_wav, write_wav
 from .network import ArchSpec, count_params, finite_difference_check
@@ -91,7 +93,7 @@ COMMANDS = {
 
 CHOICES = {
     "separate.cluster": ["kmeans", "gmm"],
-    "eval.algo": ["kmeans", "gmm", "oracle_wfm", "oracle_ibm", "mixture"],
+    "eval.algo": list(EVAL_ALGOS),
     "arch.cell": ["gru", "lstm"],
 }
 
@@ -147,8 +149,13 @@ def load_config(config_path: str | None, overrides: list[str]) -> dict:
 
 
 def echo_config(cfg: dict, path: Path) -> None:
+    """Write cfg as key=value lines under `#` lines naming the numpy and scipy
+    versions and the BLAS thread settings, which bit-exact results need."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
+        fh.write(f"# numpy {np.__version__}, scipy {scipy.__version__}\n")
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            fh.write(f"# {var}={os.environ.get(var, 'unset')}\n")
         for key in sorted(cfg):
             fh.write(f"{key}={cfg[key]}\n")
 
@@ -223,15 +230,19 @@ def cmd_train(cfg: dict, args) -> CommandOutcome:
 
     result = train(manifest, hyper, arch, stft_cfg=_build(StftConfig, cfg, "stft"),
                    resume_from=resume_from, progress=progress)
-    save_checkpoint(result.best, out_dir / "checkpoint.danc")
+    # A resumed run that never beat its earlier best leaves that checkpoint be.
+    if result.best is None:
+        where = "from before the resume (checkpoint kept)"
+    else:
+        save_checkpoint(result.best, out_dir / "checkpoint.danc")
+        where = f"at epoch {result.best.epoch}"
     save_checkpoint(result.last, out_dir / "last.danc")
-    result.log.to_csv(out_dir / "trainlog.csv")
+    result.log.to_csv(out_dir / "trainlog.csv", append=args.resume)
     echo_config(cfg, out_dir / "effective_config.txt")
-    best = result.best
     return CommandOutcome(
         artifacts=[str(out_dir / "checkpoint.danc"), str(out_dir / "trainlog.csv")],
         summary=(f"trained to epoch {result.last.epoch}; best validation loss "
-                 f"{best.best_val_loss:.4f} at epoch {best.epoch}"))
+                 f"{result.last.best_val_loss:.4f} {where}"))
 
 
 def cmd_separate(cfg: dict, args) -> CommandOutcome:

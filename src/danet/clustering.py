@@ -29,25 +29,28 @@ class GmmModel:
     ll_history: list[float] = field(default_factory=list)  # EM objective per iteration
 
 
-def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = (np.sum(points * points, axis=1)[:, None]
+def _squared_distances(points: np.ndarray, centers: np.ndarray,
+                       point_sq: np.ndarray) -> np.ndarray:
+    """point_sq is np.sum(points * points, axis=1), computed once per fit."""
+    d2 = (point_sq[:, None]
           + np.sum(centers * centers, axis=1)[None, :]
           - 2.0 * points @ centers.T)
     return np.maximum(d2, 0.0)
 
 
-def _kmeans_pp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_seed(points: np.ndarray, k: int, rng: np.random.Generator,
+                    point_sq: np.ndarray) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = _squared_distances(points, centers[:1]).ravel()
+    d2 = _squared_distances(points, centers[:1], point_sq).ravel()
     for c in range(1, k):
         total = d2.sum()
         if total <= 0:
             centers[c] = points[rng.integers(n)]
         else:
             centers[c] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, _squared_distances(points, centers[c:c + 1]).ravel())
+        d2 = np.minimum(d2, _squared_distances(points, centers[c:c + 1], point_sq).ravel())
     return centers
 
 
@@ -66,11 +69,14 @@ def _reseed_empty(labels: np.ndarray, own_d2: np.ndarray, k: int) -> None:
         counts[c] = 1
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int, tol: float):
+def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int, tol: float,
+           point_sq: np.ndarray | None = None):
+    if point_sq is None:
+        point_sq = np.sum(points * points, axis=1)
     history = []
     labels = None
     for _ in range(max_iter):
-        d2 = _squared_distances(points, centers)
+        d2 = _squared_distances(points, centers, point_sq)
         labels = np.argmin(d2, axis=1)
         _reseed_empty(labels, d2[np.arange(points.shape[0]), labels], centers.shape[0])
         new_centers = np.stack([points[labels == c].mean(axis=0)
@@ -94,11 +100,12 @@ def kmeans(points: np.ndarray, k: int, max_iter: int = 100, tol: float = 1e-10,
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n_points, got k={k}, n_points={n}")
 
+    point_sq = np.sum(points * points, axis=1)
     best = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        centers0 = _kmeans_pp_seed(points, k, rng)
-        centers, labels, inertia, history = _lloyd(points, centers0, max_iter, tol)
+        centers0 = _kmeans_pp_seed(points, k, rng, point_sq)
+        centers, labels, inertia, history = _lloyd(points, centers0, max_iter, tol, point_sq)
         if best is None or inertia < best.inertia:
             best = KMeansResult(centers, labels, inertia, history)
     return best

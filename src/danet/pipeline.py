@@ -270,10 +270,13 @@ class EpochRecord:
 class TrainLog:
     rows: list[EpochRecord] = field(default_factory=list)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+    def to_csv(self, path, append: bool = False) -> None:
+        """Write the log, or with append add its rows to an existing one."""
+        new = not (append and Path(path).is_file())
+        with open(path, "w" if new else "a", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "val_loss", "lr", "seconds"])
+            if new:
+                writer.writerow(["epoch", "train_loss", "val_loss", "lr", "seconds"])
             for r in self.rows:
                 writer.writerow([r.epoch, repr(r.train_loss), repr(r.val_loss),
                                  repr(r.lr), f"{r.seconds:.3f}"])
@@ -292,7 +295,7 @@ class _Utterance:
 
 @dataclass
 class TrainResult:
-    best: Checkpoint
+    best: Checkpoint | None   # None when a resumed run never beat its earlier best
     last: Checkpoint
     log: TrainLog
 
@@ -396,7 +399,9 @@ def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
         improved = schedule.update(val_loss)
         log.rows.append(EpochRecord(epoch, train_loss, val_loss, lr_this_epoch,
                                     time.perf_counter() - started))
-        if improved or best_ckpt is None:
+        # A fresh run's first epoch is its best so far even if its loss is
+        # not finite; a resumed run keeps its earlier best unless beaten.
+        if improved or (best_ckpt is None and resume_from is None):
             best_ckpt = snapshot(epoch)
         if progress is not None:
             progress(log.rows[-1])

@@ -1,6 +1,9 @@
 """BSS-eval decomposition and metric tests."""
 
+import dataclasses
 import itertools
+import json
+import os
 import warnings
 from contextlib import contextmanager
 
@@ -258,3 +261,103 @@ class TestEvaluateSet:
         assert lines[-1].startswith("MEAN,")
         assert 2 * summary["count"] == len(lines) - 2  # two speakers per utterance
         assert summary["sdr"] > 5.0
+
+    # The fan-out: with two usable cores and one BLAS thread per worker
+    # evaluate_set scores in forked workers; with one core it scores in this
+    # process, the serial reference.
+
+    @staticmethod
+    def use_cores(monkeypatch, n, blas_threads="1"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        if blas_threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+
+    @pytest.mark.parametrize("cores, blas_threads, records, workers", [
+        (2, "1", 40, 2), (2, "1", 1, 1), (1, "1", 40, 1), (8, "2", 40, 4),
+        (2, None, 40, 1), (2, "4", 40, 1), (2, "auto", 40, 1)])
+    def test_worker_count_leaves_one_core_per_blas_thread(self, monkeypatch, cores,
+                                                         blas_threads, records, workers):
+        from danet.bsseval import _worker_count
+
+        self.use_cores(monkeypatch, cores, blas_threads)
+        assert _worker_count(records) == workers
+
+    @pytest.fixture(scope="class")
+    def tiny_ckpt(self, dataset):
+        from danet.network import ArchSpec
+        from danet.pipeline import HyperParams, train
+
+        arch = ArchSpec(input_dim=129, num_layers=1, hidden_per_direction=8, embed_dim=4)
+        return train(dataset, HyperParams(epochs=1, batch_size=4), arch).best
+
+    @pytest.mark.parametrize("algo", ["oracle_wfm", "mixture", "kmeans"])
+    def test_workers_match_the_in_process_run(self, dataset, tiny_ckpt, tmp_path,
+                                              monkeypatch, algo):
+        from danet import bsseval
+
+        pids = tmp_path / "pids"
+        scored = bsseval.resolve_permutation
+
+        def spy(*args, **kwargs):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return scored(*args, **kwargs)
+
+        monkeypatch.setattr(bsseval, "resolve_permutation", spy)
+        ckpt = tiny_ckpt if algo == "kmeans" else None
+        reports = []
+        for cores in (1, 2):
+            self.use_cores(monkeypatch, cores)
+            out = tmp_path / f"{cores}.csv"
+            summary = bsseval.evaluate_set(dataset, ckpt, algo, EvalConfig(proj_len=64), out)
+            reports.append((out.read_bytes(), summary))
+        assert reports[0] == reports[1]
+        assert reports[0][1]["count"] >= 2
+        # The two-core run scored in processes other than this one.
+        assert set(pids.read_text().split()) - {str(os.getpid())}
+
+    def test_worker_warnings_reach_the_caller(self, dataset, tmp_path, monkeypatch):
+        from danet.bsseval import evaluate_set
+
+        rows = [json.loads(line) for line in dataset.read_text().splitlines()]
+        tests = [r for r in rows if r.get("split") == "test"][:2]
+        for r in tests:
+            r["mixture_path"] = str(dataset.parent / r["mixture_path"])
+            r["source_paths"] = [str(dataset.parent / p) for p in r["source_paths"]]
+        tests[1]["source_paths"] = [tests[1]["source_paths"][0]] * 2  # identical stems
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows[:1] + tests))
+
+        seen = []
+        for cores in (1, 2):
+            self.use_cores(monkeypatch, cores)
+            with pytest.warns(UserWarning, match="rank-deficient") as caught:
+                evaluate_set(manifest, None, "mixture", EvalConfig(proj_len=8),
+                             tmp_path / "r.csv")
+            seen.append([(w.category, w.filename, w.lineno, str(w.message)) for w in caught])
+        assert seen[0] == seen[1]
+        assert all(filename.endswith("bsseval.py") for _, filename, _, _ in seen[1])
+
+    def test_worker_errors_reach_the_caller(self, dataset, tiny_ckpt, tmp_path, monkeypatch):
+        from danet.bsseval import evaluate_set
+
+        wrong_rate = dataclasses.replace(tiny_ckpt, sample_rate=16000)
+        errors = []
+        for cores in (1, 2):
+            self.use_cores(monkeypatch, cores)
+            with pytest.raises(ValueError, match="16000 Hz") as info:
+                evaluate_set(dataset, wrong_rate, "gmm", EvalConfig(proj_len=8),
+                             tmp_path / "r.csv")
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+
+    def test_bad_algo_rejected_before_scoring(self, dataset, tmp_path):
+        from danet.bsseval import evaluate_set
+
+        with pytest.raises(ValueError, match="needs a checkpoint"):
+            evaluate_set(dataset, None, "gmm", L1, tmp_path / "r.csv")
+        with pytest.raises(ValueError, match="unknown evaluation algo"):
+            evaluate_set(dataset, None, "nope", L1, tmp_path / "r.csv")

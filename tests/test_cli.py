@@ -4,9 +4,10 @@ import wave as wavefile
 
 import numpy as np
 import pytest
+import scipy
 
 from danet.bsseval import EvalConfig, evaluate_set
-from danet.cli import DEFAULTS, main
+from danet.cli import DEFAULTS, echo_config, load_config, main
 from danet.dsp import StftConfig, Waveform, read_wav, write_wav
 from danet.network import ArchSpec, count_params, finite_difference_check
 
@@ -77,7 +78,21 @@ class TestTrainCommand:
                    "--embed-dim", "4", "--seed", "2", "--resume"])
         assert rc == 0
         lines = (workspace / "run" / "trainlog.csv").read_text().splitlines()
-        assert lines[1].startswith("3,")
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
+
+    def test_resume_without_improvement_keeps_best_and_log(self, workspace, tmp_path):
+        run = tmp_path / "run"
+        args = ["train", "--manifest", str(workspace / "mix" / "manifest.jsonl"),
+                "--out", str(run), "--epochs", "2", "--batch-size", "4", "--layers", "1",
+                "--hidden", "8", "--embed-dim", "4", "--lr0", "0.1", "--seed", "1"]
+        assert main(args) == 0
+        best = (run / "checkpoint.danc").read_bytes()
+        assert main(args + ["--resume"]) == 0
+        rows = [line.split(",") for line in (run / "trainlog.csv").read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["1", "2", "3", "4"]
+        val = [float(r[2]) for r in rows]
+        assert min(val[2:]) > val[1] == min(val)  # the recipe peaks at epoch 2
+        assert (run / "checkpoint.danc").read_bytes() == best
 
     def test_resume_without_checkpoint_exits_2(self, workspace, tmp_path):
         rc = main(["train", "--manifest", str(workspace / "mix" / "manifest.jsonl"),
@@ -244,6 +259,17 @@ class TestConfigPlumbing:
                                "mix.test_min", "mix.train_min", "mix.valid_min",
                                "synth.dur", "train.beta1", "train.beta2", "train.eps",
                                "train.grad_clip", "train.lr0", "train.lr_min")}
+
+    def test_echoed_config_records_run_context_and_loads_back(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        cfg = load_config(None, ["train.lr0=0.05", "eval.algo=kmeans", "stft.hop=32"])
+        path = tmp_path / "effective_config.txt"
+        echo_config(cfg, path)
+        assert path.read_text().splitlines()[:3] == [
+            f"# numpy {np.__version__}, scipy {scipy.__version__}",
+            "# OPENBLAS_NUM_THREADS=1", "# OMP_NUM_THREADS=unset"]
+        assert load_config(str(path), []) == cfg
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         rc = main(["--set", "train.warp=9", "count-params"])
