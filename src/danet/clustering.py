@@ -31,10 +31,12 @@ class GmmModel:
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray,
                        point_sq: np.ndarray) -> np.ndarray:
-    """point_sq is np.sum(points * points, axis=1), computed once per fit."""
+    """point_sq is np.sum(points * points, axis=1), computed once per fit.
+    Scaling the (n, k) product by 2 rather than the points is exact for
+    normal floats and makes no (n, dim) temporary."""
     d2 = (point_sq[:, None]
           + np.sum(centers * centers, axis=1)[None, :]
-          - 2.0 * points @ centers.T)
+          - 2.0 * (points @ centers.T))
     return np.maximum(d2, 0.0)
 
 
@@ -71,34 +73,64 @@ def _reseed_empty(labels: np.ndarray, own_d2: np.ndarray, k: int) -> None:
 
 def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int, tol: float,
            point_sq: np.ndarray | None = None):
+    """Lloyd iterations until no center moves more than tol (or max_iter).
+
+    An iteration costs one distance GEMM, one argmin, one bincount and one
+    GEMM for the means; the own-distance gather for `_reseed_empty` runs only
+    when a cluster is empty. Its history entry comes from the per-cluster
+    statistics, sum ||x||^2 - sum_c n_c ||mu_c||^2 clamped at 0. The GEMM
+    may sum in another order than a mean does, and the statistics lose
+    digits when the points sit far from the origin, so the returned centers
+    and inertia (also the last history entry) are recomputed once from the
+    final labels as plain means and a plain sum: restarts compare exact
+    inertias.
+    """
     if point_sq is None:
         point_sq = np.sum(points * points, axis=1)
+    total_sq = float(point_sq.sum())
+    n, k = points.shape[0], centers.shape[0]
+    rows = np.arange(n)
     history = []
-    labels = None
     for _ in range(max_iter):
         d2 = _squared_distances(points, centers, point_sq)
         labels = np.argmin(d2, axis=1)
-        _reseed_empty(labels, d2[np.arange(points.shape[0]), labels], centers.shape[0])
-        new_centers = np.stack([points[labels == c].mean(axis=0)
-                                for c in range(centers.shape[0])])
-        inertia = float(np.sum((points - new_centers[labels]) ** 2))
-        history.append(inertia)
+        counts = np.bincount(labels, minlength=k)
+        if not counts.all():
+            _reseed_empty(labels, d2[rows, labels], k)
+            counts = np.bincount(labels, minlength=k)
+        one_hot = np.zeros((n, k))
+        one_hot[rows, labels] = 1.0
+        new_centers = one_hot.T @ points / counts[:, None]
+        history.append(max(total_sq - float(counts @ np.sum(new_centers ** 2, axis=1)), 0.0))
         converged = np.allclose(new_centers, centers, rtol=0, atol=tol)
         centers = new_centers
         if converged:
             break
+    centers = np.stack([points[labels == c].mean(axis=0) for c in range(k)])
+    history[-1] = float(np.sum((points - centers[labels]) ** 2))
     return centers, labels, history[-1], history
+
+
+def _as_points(points) -> np.ndarray:
+    """The points as a float64 (n, dim) array, checked to be finite."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise ValueError(f"points must be (n, dim), got {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite (found NaN or inf)")
+    return points
 
 
 def kmeans(points: np.ndarray, k: int, max_iter: int = 100, tol: float = 1e-10,
            restarts: int = KMEANS_RESTARTS, seed: int = 0) -> KMeansResult:
     """Best-of-restarts Lloyd iterations from k-means++ seeding."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValueError(f"points must be (n, dim), got {points.shape}")
+    points = _as_points(points)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n_points, got k={k}, n_points={n}")
+    for name, value in (("restarts", restarts), ("max_iter", max_iter)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
     point_sq = np.sum(points * points, axis=1)
     best = None
@@ -164,7 +196,7 @@ def gmm_fit(points: np.ndarray, k: int, max_iter: int = EM_MAX_ITER,
     slack). `log_likelihood` is the plain mean log-likelihood of the final
     model.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = _as_points(points)
     n, dim = points.shape
     if k > n:
         raise ValueError(f"k={k} exceeds the {n} available points")
@@ -216,8 +248,7 @@ def cluster_attractors(V: np.ndarray, n_speakers: int, algo: str = "gmm",
     if algo == "kmeans":
         result = kmeans(points, n_speakers, seed=seed)
         centers = result.centers
-        mass = np.array([np.sum(result.assignments == c) for c in range(n_speakers)],
-                        dtype=np.float64)
+        mass = np.bincount(result.assignments, minlength=n_speakers)
     elif algo == "gmm":
         model = gmm_fit(points, n_speakers, seed=seed)
         centers = model.means

@@ -10,9 +10,14 @@ from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from danet.clustering import (
+    KMEANS_RESTARTS,
     LL_SLACK,
     GmmModel,
     _e_step,
+    _kmeans_pp_seed,
+    _lloyd,
+    _reseed_empty,
+    _squared_distances,
     cluster_attractors,
     default_regularization,
     gmm_fit,
@@ -25,6 +30,25 @@ def two_blobs(rng, n_per=30, dim=2, sep=8.0, scale=0.5):
     a = rng.normal(size=(n_per, dim)) * scale
     b = rng.normal(size=(n_per, dim)) * scale + sep
     return np.vstack([a, b]), np.array([0] * n_per + [1] * n_per)
+
+
+def reference_lloyd(points, centers, max_iter, tol):
+    """Lloyd iterations with boolean-mask means and the full inertia sum at
+    every iteration: the reference for `_lloyd`'s statistics-based loop."""
+    point_sq = np.sum(points * points, axis=1)
+    history = []
+    for _ in range(max_iter):
+        d2 = _squared_distances(points, centers, point_sq)
+        labels = np.argmin(d2, axis=1)
+        _reseed_empty(labels, d2[np.arange(points.shape[0]), labels], centers.shape[0])
+        new_centers = np.stack([points[labels == c].mean(axis=0)
+                                for c in range(centers.shape[0])])
+        history.append(float(np.sum((points - new_centers[labels]) ** 2)))
+        converged = np.allclose(new_centers, centers, rtol=0, atol=tol)
+        centers = new_centers
+        if converged:
+            break
+    return centers, labels, history[-1], history
 
 
 class TestKMeans:
@@ -101,6 +125,44 @@ class TestKMeans:
         assert np.all(np.isfinite(centers))
         assert sorted(np.bincount(labels, minlength=3)) == [1, 1, 2]
 
+    def test_restart_choice_exact_on_off_centre_cloud(self):
+        # Far from the origin, sum ||x||^2 - sum n_c ||mu_c||^2 loses about
+        # six digits: restarts that reach one partition under permuted labels
+        # must still tie exactly, so the first of them is kept.
+        rng = np.random.default_rng(61)
+        pts = two_blobs(rng, n_per=200, dim=3, sep=3.0)[0] + 1e3
+        res = kmeans(pts, 2, seed=0)
+        assert res.inertia == float(np.sum((pts - res.centers[res.assignments]) ** 2))
+        assert res.inertia_history[-1] == res.inertia
+
+        point_sq = np.sum(pts * pts, axis=1)
+        runs = [reference_lloyd(pts, _kmeans_pp_seed(pts, 2, np.random.default_rng([0, r]),
+                                                     point_sq), 100, 1e-10)
+                for r in range(KMEANS_RESTARTS)]
+        first_best = min(range(KMEANS_RESTARTS), key=lambda r: runs[r][2])
+        assert len({tuple(run[1]) for run in runs}) > 1  # some restarts permute labels
+        assert np.array_equal(res.assignments, runs[first_best][1])
+        assert np.array_equal(res.centers, runs[first_best][0])
+        assert res.inertia == runs[first_best][2]
+
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"max_iter": 0}, {"restarts": -1}],
+                             ids=["restarts=0", "max_iter=0", "restarts=-1"])
+    def test_bad_arguments_rejected_before_seeding(self, kwargs, monkeypatch):
+        def no_draws(*args, **kw):
+            raise AssertionError("random generator created before validation")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            kmeans(np.eye(3), 2, **kwargs)
+
+    @pytest.mark.parametrize("fit", [kmeans, gmm_fit])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, fit, bad):
+        pts = np.random.default_rng(44).normal(size=(12, 2))
+        pts[5, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit(pts, 2)
+
     def test_seeded_determinism(self):
         rng = np.random.default_rng(43)
         pts = rng.normal(size=(40, 2))
@@ -168,6 +230,12 @@ class TestGmmFit:
         with pytest.raises(ValueError, match="exceeds"):
             gmm_fit(np.zeros((2, 2)), 3)
 
+    def test_zero_iterations_return_the_kmeans_initialisation(self):
+        pts, _ = two_blobs(np.random.default_rng(46))
+        model = gmm_fit(pts, 2, max_iter=0, seed=10)
+        assert model.ll_history == []
+        assert np.isfinite(model.log_likelihood)
+
     def test_weights_on_simplex(self):
         rng = np.random.default_rng(46)
         pts, _ = two_blobs(rng)
@@ -197,6 +265,35 @@ def test_em_properties_on_random_clouds(n, dim, k, n_distinct, seed):
         assert cur >= prev - LL_SLACK * max(1.0, abs(prev))
     for cov in model.covariances:
         np.linalg.cholesky(cov)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(n=st.integers(1, 200), dim=st.integers(1, 7), k=st.integers(1, 4),
+       n_distinct=st.integers(1, 200), init=st.sampled_from(["points", "far"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_lloyd_matches_reference(n, dim, k, n_distinct, init, seed):
+    # n points drawn (with repeats) from n_distinct sites in the unit cube.
+    # Initial centers are drawn points, so repeats start clusters empty, or
+    # one point plus far centers that lose every point in the first pass.
+    # The statistics-based history is off by about eps * sum ||x||^2, which
+    # unit-scale coordinates keep below 1e-12; the final entry is exact.
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    sites = rng.uniform(-1.0, 1.0, size=(n_distinct, dim)) * rng.uniform(1e-3, 1.0, size=dim)
+    pts = sites[rng.integers(n_distinct, size=n)]
+    init_centers = pts[rng.integers(n, size=k)]
+    if init == "far":
+        init_centers[1:] = 50.0 * np.arange(1, k)[:, None] + np.zeros(dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        centers, labels, inertia, history = _lloyd(pts, init_centers.copy(), 100, 1e-10)
+    ref_centers, ref_labels, ref_inertia, ref_history = reference_lloyd(
+        pts, init_centers.copy(), 100, 1e-10)
+    assert np.array_equal(labels, ref_labels)
+    assert len(history) == len(ref_history)
+    assert np.allclose(centers, ref_centers, rtol=0, atol=1e-12)
+    assert inertia == ref_inertia == history[-1]
+    assert np.allclose(history, ref_history, rtol=1e-12, atol=1e-12)
 
 
 def test_e_step_matches_scipy_log_densities():
