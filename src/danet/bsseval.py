@@ -31,6 +31,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.proj_len < 1:
             raise ValueError(f"proj_len must be >= 1, got {self.proj_len}")
+        if not self.sdr_cap > 0:
+            raise ValueError(f"sdr_cap must be positive, got {self.sdr_cap}")
 
 
 @dataclass
@@ -188,7 +190,7 @@ def _score_record(rec, ckpt, algo: str, cfg: EvalConfig, seed: int,
     (SDR, SIR, SAR) tuples, and the warnings raised on the way as
     (message, category, filename, lineno)."""
     from . import pipeline
-    from .dsp import istft, phase, read_wav
+    from .dsp import istft, read_wav
     from .masking import apply_mask, binarize
 
     with warnings.catch_warnings(record=True) as caught:
@@ -200,13 +202,10 @@ def _score_record(rec, ckpt, algo: str, cfg: EvalConfig, seed: int,
             ests = pipeline.separate(mix, ckpt, n_src, algo=algo, seed=seed)
             est_samples = [e.samples for e in ests]
         elif algo in ("oracle_wfm", "oracle_ibm"):
-            spec, mix_mag, masks = pipeline.mixture_masks(mix, refs, stft_cfg)
+            spec, _, masks = pipeline.mixture_masks(mix, refs, stft_cfg)
             if algo == "oracle_ibm":
                 masks = [binarize(m) for m in masks]
-            mix_phase = phase(spec)
-            est_samples = [istft(apply_mask(mix_mag, m, mix_phase, spec.source_len, stft_cfg),
-                                 stft_cfg).samples
-                           for m in masks]
+            est_samples = [istft(apply_mask(spec, m)).samples for m in masks]
         else:
             est_samples = [mix.samples.copy() for _ in range(n_src)]
         metrics = resolve_permutation(est_samples, [r.samples for r in refs], cfg)

@@ -68,11 +68,12 @@ class StftConfig:
 
 @dataclass(frozen=True)
 class ComplexSpectrogram:
-    """F x T complex STFT matrix plus the geometry needed for exact inversion."""
+    """F x T complex STFT matrix plus what exact inversion needs."""
 
     bins: np.ndarray
     source_len: int
     cfg: StftConfig
+    sample_rate: int
 
     def __post_init__(self):
         bins = np.asarray(self.bins, dtype=np.complex128)
@@ -123,14 +124,13 @@ def stft(wave: Waveform, cfg: StftConfig = StftConfig()) -> ComplexSpectrogram:
     window = make_sqrt_hann(cfg.win_len)
     frames = _frame_padded(wave.samples, cfg) * window
     bins = np.fft.rfft(frames, n=cfg.fft_size, axis=1).T
-    return ComplexSpectrogram(bins=bins, source_len=wave.samples.size, cfg=cfg)
+    return ComplexSpectrogram(bins=bins, source_len=wave.samples.size, cfg=cfg,
+                              sample_rate=wave.sample_rate)
 
 
-def istft(spec: ComplexSpectrogram, cfg: StftConfig = StftConfig(),
-          sample_rate: int = SAMPLE_RATE) -> Waveform:
+def istft(spec: ComplexSpectrogram) -> Waveform:
     """Weighted overlap-add inverse using the same sqrt-Hann window."""
-    if cfg != spec.cfg:
-        raise ValueError(f"geometry mismatch: spectrogram built with {spec.cfg}, got {cfg}")
+    cfg = spec.cfg
     if spec.num_frames != cfg.num_frames(spec.source_len):
         raise ValueError(
             f"frame count {spec.num_frames} inconsistent with source_len {spec.source_len}"
@@ -150,7 +150,7 @@ def istft(spec: ComplexSpectrogram, cfg: StftConfig = StftConfig(),
     out = np.divide(acc, norm, out=np.zeros_like(acc), where=norm > 1e-12)
 
     pad_front = cfg.win_len - cfg.hop
-    return Waveform(out[pad_front:pad_front + spec.source_len], sample_rate)
+    return Waveform(out[pad_front:pad_front + spec.source_len], spec.sample_rate)
 
 
 def magnitude(spec: ComplexSpectrogram) -> np.ndarray:
@@ -162,31 +162,19 @@ def phase(spec: ComplexSpectrogram) -> np.ndarray:
     return np.angle(spec.bins)
 
 
-def log_features(mag: np.ndarray, floor_eps: float = FEATURE_FLOOR_EPS,
-                 mean: np.ndarray | None = None,
-                 std: np.ndarray | None = None) -> np.ndarray:
-    """Floored log magnitude, optionally standardized per frequency row.
-
-    mean/std are per-frequency vectors (training-set statistics); omitting
-    both applies identity statistics.
-    """
+def log_features(mag: np.ndarray) -> np.ndarray:
+    """Log magnitude floored at FEATURE_FLOOR_EPS."""
     mag = np.asarray(mag, dtype=np.float64)
-    if floor_eps <= 0:
-        raise ValueError(f"floor_eps must be positive, got {floor_eps}")
     if np.any(mag < 0):
         raise ValueError("magnitude matrix has negative entries")
-    return standardize(np.log(np.maximum(mag, floor_eps)), mean, std)
+    return np.log(np.maximum(mag, FEATURE_FLOOR_EPS))
 
 
-def standardize(feats: np.ndarray, mean: np.ndarray | None = None,
-                std: np.ndarray | None = None) -> np.ndarray:
-    """(feats - mean) / std per frequency row, std floored at 1e-8; an omitted
-    statistic is the identity."""
-    if mean is not None:
-        feats = feats - np.asarray(mean, dtype=np.float64)[:, None]
-    if std is not None:
-        feats = feats / np.maximum(np.asarray(std, dtype=np.float64), 1e-8)[:, None]
-    return feats
+def standardize(feats: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """(feats - mean) / std per frequency row, with std floored at 1e-8;
+    mean/std are per-frequency vectors (training-set statistics)."""
+    feats = feats - np.asarray(mean, dtype=np.float64)[:, None]
+    return feats / np.maximum(np.asarray(std, dtype=np.float64), 1e-8)[:, None]
 
 
 def feature_stats(feature_mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

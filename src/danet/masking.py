@@ -1,10 +1,12 @@
 """Ideal mask construction and mask application for training targets and inference."""
 
+from dataclasses import replace
+
 import numpy as np
 
-from .dsp import ComplexSpectrogram, StftConfig
+from .dsp import ComplexSpectrogram, magnitude, phase
 
-DEFAULT_TAU = 0.5
+IBM_THRESHOLD = 0.5   # soft masks sum to 1: at most one source wins a bin
 
 
 def wiener_like_masks(source_mags: list[np.ndarray]) -> list[np.ndarray]:
@@ -30,22 +32,14 @@ def wiener_like_masks(source_mags: list[np.ndarray]) -> list[np.ndarray]:
     return list(masks)
 
 
-def binarize(mask: np.ndarray, tau: float = DEFAULT_TAU) -> np.ndarray:
-    """Threshold a soft mask with a strict > comparison; exact ties go to 0."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
-    return (np.asarray(mask, dtype=np.float64) > tau).astype(np.float64)
+def binarize(mask: np.ndarray) -> np.ndarray:
+    """Threshold a soft mask at IBM_THRESHOLD, strictly; exact ties go to 0."""
+    return (np.asarray(mask, dtype=np.float64) > IBM_THRESHOLD).astype(np.float64)
 
 
-def apply_mask(mix_mag: np.ndarray, mask: np.ndarray, mix_phase: np.ndarray,
-               source_len: int, cfg: StftConfig) -> ComplexSpectrogram:
-    """Masked magnitude recombined with the mixture phase."""
-    mix_mag = np.asarray(mix_mag, dtype=np.float64)
+def apply_mask(spec: ComplexSpectrogram, mask: np.ndarray) -> ComplexSpectrogram:
+    """The mixture's masked magnitude recombined with its phase."""
     mask = np.asarray(mask, dtype=np.float64)
-    mix_phase = np.asarray(mix_phase, dtype=np.float64)
-    if not (mix_mag.shape == mask.shape == mix_phase.shape):
-        raise ValueError(
-            f"shape mismatch: mag {mix_mag.shape}, mask {mask.shape}, phase {mix_phase.shape}"
-        )
-    bins = (mask * mix_mag) * np.exp(1j * mix_phase)
-    return ComplexSpectrogram(bins=bins, source_len=source_len, cfg=cfg)
+    if mask.shape != spec.bins.shape:
+        raise ValueError(f"shape mismatch: spectrogram {spec.bins.shape}, mask {mask.shape}")
+    return replace(spec, bins=(mask * magnitude(spec)) * np.exp(1j * phase(spec)))

@@ -13,7 +13,6 @@ import numpy as np
 from . import corpus as corpus_mod
 from .clustering import cluster_attractors
 from .dsp import (
-    FEATURE_FLOOR_EPS,
     SAMPLE_RATE,
     StftConfig,
     Waveform,
@@ -21,7 +20,6 @@ from .dsp import (
     istft,
     log_features,
     magnitude,
-    phase,
     read_wav,
     standardize,
     stft,
@@ -63,6 +61,15 @@ class HyperParams:
             raise ValueError("patience must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.grad_clip > 0:
+            raise ValueError(f"grad_clip must be positive, got {self.grad_clip}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
 
 
 @dataclass
@@ -211,6 +218,9 @@ def load_checkpoint(path) -> Checkpoint:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint (bad magic bytes)")
+    if len(blob) < 12:
+        raise ValueError(f"{path}: truncated checkpoint ({len(blob)} bytes, "
+                         f"inside the 12-byte preamble)")
     version = struct.unpack("<I", blob[4:8])[0]
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
@@ -311,11 +321,18 @@ def mixture_masks(mix: Waveform, sources: list[Waveform], cfg: StftConfig):
 def _load_split(records: list[corpus_mod.MixtureRecord],
                 cfg: StftConfig) -> list[tuple[np.ndarray, np.ndarray, list[np.ndarray]]]:
     """Raw log-feature and mask material per utterance (stats applied later)."""
+    def read(path) -> Waveform:
+        wave = read_wav(path)
+        if wave.sample_rate != SAMPLE_RATE:
+            raise ValueError(f"{path}: audio is {wave.sample_rate} Hz, training expects "
+                             f"{SAMPLE_RATE} Hz (danet.dsp.decimate2 converts 16 kHz)")
+        return wave
+
     out = []
     for rec in records:
-        _, mix_mag, masks = mixture_masks(read_wav(rec.mixture_path),
-                                          [read_wav(p) for p in rec.source_paths], cfg)
-        out.append((log_features(mix_mag, FEATURE_FLOOR_EPS), mix_mag,
+        _, mix_mag, masks = mixture_masks(read(rec.mixture_path),
+                                          [read(p) for p in rec.source_paths], cfg)
+        out.append((log_features(mix_mag), mix_mag,
                     [binarize(m) for m in masks]))
     return out
 
@@ -421,13 +438,9 @@ def separate(mixture: Waveform, ckpt: Checkpoint, n_speakers: int = 2,
         raise ValueError(f"n_speakers must be >= 1, got {n_speakers}")
 
     spec = stft(mixture, ckpt.stft_cfg)
-    mix_phase = phase(spec)
-    mix_mag = magnitude(spec)
-    feats = log_features(mix_mag, FEATURE_FLOOR_EPS,
-                         mean=ckpt.params.feat_mean, std=ckpt.params.feat_std)
+    feats = standardize(log_features(magnitude(spec)),
+                        ckpt.params.feat_mean, ckpt.params.feat_std)
     V = forward_embed(feats, ckpt.params)
     attractors = cluster_attractors(V, n_speakers, algo=algo, seed=seed)
     masks = estimate_masks(V, attractors, ckpt.stft_cfg.num_freqs)
-    return [istft(apply_mask(mix_mag, m, mix_phase, spec.source_len, spec.cfg),
-                  ckpt.stft_cfg, mixture.sample_rate)
-            for m in masks]
+    return [istft(apply_mask(spec, m)) for m in masks]

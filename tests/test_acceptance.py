@@ -77,7 +77,7 @@ def test_criterion_3_stft_fidelity():
     for trial in range(100):
         n = int(rng.integers(64, 12000))
         x = rng.normal(size=n)
-        back = istft(stft(Waveform(x, 8000), cfg), cfg)
+        back = istft(stft(Waveform(x, 8000), cfg))
         assert back.samples.size == n
         err = np.linalg.norm(back.samples - x) / max(np.linalg.norm(x), 1e-300)
         assert err < 1e-6, f"trial {trial}: n={n}, relative error {err:.2e}"

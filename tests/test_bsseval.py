@@ -129,6 +129,11 @@ class TestSdrSirSar:
         sdr, sir, sar = sdr_sir_sar(np.zeros(1000), [ref], 0, L1)
         assert sdr == -100.0 and sir == -100.0 and sar == -100.0
 
+    @pytest.mark.parametrize("cap", [0.0, -1.0, float("nan")])
+    def test_non_positive_cap_rejected(self, cap):
+        with pytest.raises(ValueError, match="sdr_cap"):
+            EvalConfig(sdr_cap=cap)
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(63)
         refs = [rng.normal(size=1500), rng.normal(size=1500)]

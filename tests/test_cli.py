@@ -280,6 +280,13 @@ class TestConfigPlumbing:
         rc = main(["--set", "train.epochs=soon", "count-params"])
         assert rc == 2
 
+    def test_negative_grad_clip_exits_2(self, workspace, tmp_path, capsys):
+        rc = main(["--set", "train.grad_clip=-1", "train", "--manifest",
+                   str(workspace / "mix" / "manifest.jsonl"), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "grad_clip" in capsys.readouterr().err
+        assert not (tmp_path / "checkpoint.danc").exists()
+
     def test_bad_choice_from_set_rejected_before_reading_data(self, workspace, tmp_path,
                                                                capsys):
         out = tmp_path / "r.csv"

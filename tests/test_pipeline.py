@@ -8,7 +8,7 @@ import pytest
 from danet import pipeline
 from danet.corpus import DatasetRecipe, build_dataset, synth_corpus
 from danet.dsp import StftConfig, Waveform
-from danet.network import ArchSpec, init_params
+from danet.network import TINY_NET, ArchSpec, init_params
 from danet.pipeline import (
     AdamState,
     Checkpoint,
@@ -101,6 +101,19 @@ class TestAdam:
             adam_step(params, grads, state, lr=0.1)
 
 
+class TestHyperParams:
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("grad_clip", -1.0), ("grad_clip", 0.0),
+        ("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("eps", 0.0),
+    ])
+    def test_bad_value_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HyperParams(**{field: value})
+
+    def test_edge_values_accepted(self):
+        HyperParams(batch_size=1, grad_clip=1e-9, beta1=0.0, beta2=0.0, eps=1e-300)
+
+
 class TestLrSchedule:
     def test_flat_losses_halve_after_patience(self):
         sched = LrSchedule(1e-3, patience=3, lr_min=1e-6)
@@ -171,6 +184,20 @@ class TestCheckpointIO:
         path.write_bytes(blob[:len(blob) - 100])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
+
+    def test_every_truncation_rejected_with_path(self, tmp_path):
+        params = init_params(TINY_NET, 0)
+        params.feat_mean, params.feat_std = np.zeros(5), np.ones(5)
+        full = tmp_path / "full.danc"
+        save_checkpoint(Checkpoint(params=params, adam=AdamState.zeros(params),
+                                   stft_cfg=StftConfig(), sample_rate=8000, epoch=1,
+                                   best_val_loss=1.0, lr=1e-3), full)
+        blob = full.read_bytes()
+        path = tmp_path / "cut.danc"
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            with pytest.raises(ValueError, match=r"cut\.danc: "):
+                load_checkpoint(path)
 
     def test_header_text_is_pinned(self, tmp_path):
         path = tmp_path / "c.danc"
@@ -289,7 +316,7 @@ class TestTrain:
         # of its first-epoch value within 200 epochs.
         import danet.corpus as corpus_mod
 
-        from danet.dsp import FEATURE_FLOOR_EPS, log_features, magnitude, read_wav, stft
+        from danet.dsp import log_features, magnitude, read_wav, stft
         from danet.masking import binarize, wiener_like_masks
         from danet.network import batch_loss_and_grads, init_params
         from danet.pipeline import AdamState, adam_step
@@ -301,7 +328,7 @@ class TestTrain:
         mag = magnitude(spec)
         masks = [binarize(m) for m in wiener_like_masks(
             [magnitude(stft(crop(read_wav(p)))) for p in rec.source_paths])]
-        feats = log_features(mag, FEATURE_FLOOR_EPS)
+        feats = log_features(mag)
         feats = (feats - feats.mean(axis=1)[:, None]) / \
             np.maximum(feats.std(axis=1)[:, None], 1e-8)
 
@@ -315,6 +342,20 @@ class TestTrain:
                 first = loss
             adam_step(params, grads, state, lr=2e-3)
         assert loss < 0.01 * first
+
+    def test_wrong_sample_rate_rejected_before_training(self, tmp_path):
+        from danet.corpus import scan_corpus
+        from danet.dsp import read_pcm16, write_pcm16
+
+        synth_corpus(tmp_path / "corpus", n_speakers=4, utts_per_speaker=4, dur=2.0, seed=1)
+        for wav in (tmp_path / "corpus").glob("*/*.wav"):
+            write_pcm16(wav, read_pcm16(wav)[0], 16000)
+        build_dataset(scan_corpus(tmp_path / "corpus"),
+                      DatasetRecipe(train_s=6.0, valid_s=2.0, test_s=2.0, seed=1),
+                      tmp_path / "mix")
+        with pytest.raises(ValueError, match=r"\.wav: audio is 16000 Hz, training expects 8000"):
+            train(tmp_path / "mix" / "manifest.jsonl", tiny_hyper(), TINY_ARCH,
+                  progress=lambda row: pytest.fail("an epoch ran"))
 
     def test_empty_split_rejected(self, tmp_path, tiny_dataset):
         import json
