@@ -11,8 +11,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
-from scipy.signal import fftconvolve
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import irfft, next_fast_len, rfft
+from scipy.linalg import cho_factor, cho_solve
 
 from .dsp import StftConfig
 
@@ -43,90 +44,98 @@ class Metrics:
     permutation: tuple[int, ...]   # permutation[i] = reference matched to estimate i
 
 
-def _crosscorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """c[d + n - 1] = sum_u a[u] * b[u + d] for d in [-(n-1), n-1]."""
-    return fftconvolve(b, a[::-1])
-
-
 class _Projector:
-    """Shared least-squares machinery for one reference set.
-
-    The normal-equations matrix over all L-tap delayed reference copies is
-    built once from FFT cross-correlations (block-Toeplitz) and factorized;
-    every estimate and target choice reuses it.
-    """
+    """Least-squares projections onto the L-tap delayed copies of one
+    reference set. The Gram matrix G of all N*L copies is block-Toeplitz,
+    built from one batched FFT and factorized once, in place: its leading
+    block is target 0's factor, and each other target factors its own
+    diagonal block. All estimates share each solve."""
 
     def __init__(self, refs: list[np.ndarray], cfg: EvalConfig):
-        self.cfg = cfg
-        self.refs = [np.asarray(r, dtype=np.float64) for r in refs]
-        self.n = self.refs[0].size
-        if any(r.size != self.n for r in self.refs):
-            raise ValueError("references must share one length")
-        L = cfg.proj_len
-        N = len(self.refs)
-        G = np.empty((N * L, N * L))
-        for i in range(N):
-            for j in range(N):
-                xc = _crosscorr(self.refs[i], self.refs[j])
-                col = xc[self.n - 1:self.n - 1 + L]          # d = 0 .. L-1
-                row = xc[self.n - 1:self.n - 1 - L:-1]       # d = 0 .. -(L-1)
-                G[i * L:(i + 1) * L, j * L:(j + 1) * L] = toeplitz(col, row)
+        refs = _signals(refs, "reference")
+        N, self.n = refs.shape
+        L = self.L = cfg.proj_len
+        # Long enough that no lag in -(L-1)..L-1 and no projection wraps round.
+        self.nfft = next_fast_len(max(self.n, L) + L - 1, real=True)
+        self.spectra = rfft(refs, self.nfft)
+        G = self._gram()
+        blocks = [slice(j * L, (j + 1) * L) for j in range(N)]
+        own = [G[s, s].copy() for s in blocks[1:]]
+        lead = self._all = self._factor(G, slice(None))
+        if N > 1:
+            lead = (self._cho_solver(lead[0][:L, :L]) if lead[0] is not None
+                    else self._factor(self._gram()[blocks[0], blocks[0]], blocks[0]))
+        self._targets = [lead] + [self._factor(a, s) for a, s in zip(own, blocks[1:])]
+
+    def _gram(self) -> np.ndarray:
+        """G[i*L + a, j*L + b] = sum_u r_i[u] r_j[u + a - b], lifted."""
+        L, N = self.L, len(self.spectra)
+        xc = irfft(self.spectra.conj()[:, None] * self.spectra, self.nfft)
+        lags = np.concatenate([xc[..., self.nfft - L + 1:], xc[..., :L]], axis=-1)
+        # windows[i, j, a, b] = lags[i, j, L - 1 + a - b], the lag a - b
+        windows = sliding_window_view(lags, L, axis=-1)[..., ::-1]
+        G = np.array(windows.transpose(0, 2, 1, 3)).reshape(N * L, N * L)
         # Diagonal lift relative to the autocorrelation scale keeps the
         # conditioning of the solve independent of signal amplitude.
         self._lift = 1e-10 * max(float(np.max(np.diag(G))), 1.0)
-        G += self._lift * np.eye(N * L)
-        self.G = G
-        self._solvers = {}
+        G.reshape(-1)[::N * L + 1] += self._lift
+        return G
 
-    def _solve(self, indices: tuple[int, ...], rhs: np.ndarray) -> np.ndarray:
-        L = self.cfg.proj_len
-        if indices not in self._solvers:
-            sel = np.concatenate([np.arange(i * L, (i + 1) * L) for i in indices])
-            sub = self.G[np.ix_(sel, sel)]
-            try:
-                factor = cho_factor(sub)
-                # A pivot at the regularization floor means the unlifted
-                # system is singular: the references are rank-deficient.
-                if float(np.min(np.diag(factor[0]))) ** 2 < 100.0 * self._lift:
-                    warnings.warn("rank-deficient references; projection is regularized")
-                self._solvers[indices] = ("chol", factor)
-            except np.linalg.LinAlgError:
-                warnings.warn("singular projection system; falling back to least squares")
-                self._solvers[indices] = ("lstsq", sub)
-        kind, solver = self._solvers[indices]
-        if kind == "chol":
-            return cho_solve(solver, rhs)
-        return np.linalg.lstsq(solver, rhs, rcond=None)[0]
+    def _factor(self, a: np.ndarray, sel: slice):
+        """(lower Cholesky factor written over a, its solve), or (None, a
+        least-squares solve on block sel of G) when a is not positive definite."""
+        try:
+            # a is symmetric, so a.T is a in Fortran order: LAPACK copies nothing.
+            factor = cho_factor(a.T, lower=True, overwrite_a=True, check_finite=False)[0]
+        except np.linalg.LinAlgError:
+            warnings.warn("singular projection system; falling back to least squares")
+            a = self._gram()[sel, sel]
+            return None, lambda rhs: np.linalg.lstsq(a, rhs, rcond=None)[0]
+        return self._cho_solver(factor)
 
-    def _project(self, blocks: list[np.ndarray], indices: tuple[int, ...]) -> np.ndarray:
-        """Least-squares projection of an estimate onto the chosen references'
-        delays, from its cross-correlation block with each reference.
+    def _cho_solver(self, factor: np.ndarray):
+        """(factor, its solve). A pivot at the lift floor means the unlifted
+        system is singular, so the references are rank-deficient: warn."""
+        if float(np.min(np.diag(factor))) ** 2 < 100.0 * self._lift:
+            warnings.warn("rank-deficient references; projection is regularized")
+        return factor, lambda rhs: cho_solve((factor, True), rhs, check_finite=False)
 
-        Returns a length n + L - 1 signal (delayed copies overhang the end).
-        """
-        coefs = self._solve(indices, np.concatenate([blocks[i] for i in indices]))
-        out = np.zeros(self.n + self.cfg.proj_len - 1)
-        for c, i in zip(coefs.reshape(len(indices), -1), indices):
-            out += fftconvolve(self.refs[i], c)
-        return out
+    def decompose(self, ests: list[np.ndarray]) -> list[list[tuple[np.ndarray, ...]]]:
+        """For each estimate, (s_target, e_interf, e_artif) with each reference
+        as the target, of length n + L - 1 (delayed copies overhang the end)."""
+        padded = np.pad(_signals(ests, "estimate", self.n), ((0, 0), (0, self.L - 1)))
+        L, N, M = self.L, len(self.spectra), len(padded)
+        # rhs[i, d, m] = sum_u r_i[u] est_m[u + d] for d = 0 .. L-1
+        rhs = irfft(self.spectra.conj()[:, None] * rfft(padded, self.nfft), self.nfft)
+        rhs = rhs[..., :L].transpose(0, 2, 1)
+        coefs = [self._all[1](rhs.reshape(N * L, M)).reshape(N, L, M)]
+        coefs += [solve(rhs[j])[None] for j, (_, solve) in enumerate(self._targets)]
+        spec = rfft(np.concatenate(coefs).transpose(0, 2, 1), self.nfft)
+        spec *= np.tile(self.spectra, (2, 1))[:, None]
+        # Row 0 projects onto all references, row 1 + j onto reference j alone.
+        proj = irfft(np.concatenate([spec[:N].sum(axis=0, keepdims=True), spec[N:]]),
+                     self.nfft)[..., :padded.shape[1]]
+        return [[(proj[1 + j, m], proj[0, m] - proj[1 + j, m], padded[m] - proj[0, m])
+                 for j in range(N)] for m in range(M)]
 
-    def decompose(self, est: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(s_target, e_interf, e_artif) with each reference as the target."""
-        est = np.asarray(est, dtype=np.float64)
-        if est.size != self.n:
-            raise ValueError(f"estimate length {est.size} != reference length {self.n}")
-        L = self.cfg.proj_len
-        blocks = [_crosscorr(r, est)[self.n - 1:self.n - 1 + L] for r in self.refs]
-        p_all = self._project(blocks, tuple(range(len(self.refs))))
-        e_artif = np.concatenate([est, np.zeros(L - 1)]) - p_all
-        targets = [self._project(blocks, (j,)) for j in range(len(self.refs))]
-        return [(s, p_all - s, e_artif) for s in targets]
+
+def _signals(signals: list, what: str, n: int | None = None) -> np.ndarray:
+    """The signals stacked as float64; a length other than n (default: the
+    first's), NaN or inf is refused by name."""
+    signals = [np.asarray(s, dtype=np.float64) for s in signals]
+    n = signals[0].size if n is None else n
+    for i, s in enumerate(signals):
+        if s.size != n:
+            raise ValueError(f"{what} {i} has length {s.size}, not {n}")
+        if not np.isfinite(s).all():
+            raise ValueError(f"{what} {i} contains NaN or inf")
+    return np.stack(signals)
 
 
 def bss_decompose(est: np.ndarray, refs: list[np.ndarray], target_index: int,
                   cfg: EvalConfig = EvalConfig()):
     """(s_target, e_interf, e_artif); the three parts sum to the estimate."""
-    return _Projector(refs, cfg).decompose(est)[target_index]
+    return _Projector(refs, cfg).decompose([est])[0][target_index]
 
 
 def _ratio_db(num: float, den: float, cap: float) -> float:
@@ -162,23 +171,13 @@ def resolve_permutation(ests: list[np.ndarray], refs: list[np.ndarray],
     if n_src > MAX_PERMUTATION_SOURCES:
         raise ValueError(f"permutation search limited to {MAX_PERMUTATION_SOURCES} sources")
 
-    projector = _Projector(refs, cfg)
-    table = [[_metrics_from_parts(*parts, cfg.sdr_cap) for parts in projector.decompose(est)]
-             for est in ests]
-
-    best_perm, best_sir = None, -np.inf
-    for perm in itertools.permutations(range(n_src)):
-        mean_sir = np.mean([table[i][perm[i]][1] for i in range(n_src)])
-        if mean_sir > best_sir:
-            best_perm, best_sir = perm, mean_sir
-
-    chosen = [table[i][best_perm[i]] for i in range(n_src)]
-    return Metrics(
-        sdr=np.array([c[0] for c in chosen]),
-        sir=np.array([c[1] for c in chosen]),
-        sar=np.array([c[2] for c in chosen]),
-        permutation=best_perm,
-    )
+    # table[i, j] = (SDR, SIR, SAR) of estimate i against reference j
+    table = np.array([[_metrics_from_parts(*parts, cfg.sdr_cap) for parts in est_parts]
+                      for est_parts in _Projector(refs, cfg).decompose(ests)])
+    rows = np.arange(n_src)
+    best = max(itertools.permutations(range(n_src)), key=lambda p: np.mean(table[rows, p, 1]))
+    sdr, sir, sar = table[rows, best].T
+    return Metrics(sdr=sdr, sir=sir, sar=sar, permutation=best)
 
 
 REPORT_HEADER = ["utt_id", "speaker", "permuted_to", "sdr_db", "sir_db", "sar_db", "pesq"]

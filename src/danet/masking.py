@@ -23,7 +23,11 @@ def wiener_like_masks(source_mags: list[np.ndarray]) -> list[np.ndarray]:
     if any(np.any(m < 0) for m in mags):
         raise ValueError("source magnitudes must be nonnegative")
 
-    powers = np.stack([m * m for m in mags])
+    # Scaling each bin by a power of two is exact, and squares of [0, 1)
+    # cannot overflow; a bin is silent only when every source is zero.
+    stacked = np.stack(mags)
+    scaled = np.ldexp(stacked, -np.frexp(stacked.max(axis=0))[1])
+    powers = scaled * scaled
     total = powers.sum(axis=0)
     silent = total == 0
     total_safe = np.where(silent, 1.0, total)

@@ -2,6 +2,7 @@
 the clustering-based separation procedure used at test time."""
 
 import csv
+import math
 import os
 import struct
 import time
@@ -236,16 +237,19 @@ def load_checkpoint(path) -> Checkpoint:
     cfg = _fields_from_header(StftConfig, "stft", header, path)
 
     shapes = tensor_shapes(arch)
+    # Parameters, Adam m and v, then the feature mean and std: all float64.
+    size = 12 + header_len + 8 * (3 * sum(map(math.prod, shapes.values())) + 2 * arch.input_dim)
+    if len(blob) < size:
+        raise ValueError(f"{path}: truncated checkpoint ({len(blob)} of {size} bytes)")
+    if len(blob) > size:
+        raise ValueError(f"{path}: {len(blob) - size} trailing bytes")
     offset = 12 + header_len
 
     def take(shape):
         nonlocal offset
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = 8 * count
-        if offset + nbytes > len(blob):
-            raise ValueError(f"{path}: truncated checkpoint")
+        count = math.prod(shape)
         out = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset += nbytes
+        offset += 8 * count
         return out.copy()
 
     tensors = {name: take(shape) for name, shape in shapes.items()}
@@ -253,8 +257,6 @@ def load_checkpoint(path) -> Checkpoint:
     v = {name: take(shape) for name, shape in shapes.items()}
     feat_mean = take((arch.input_dim,))
     feat_std = take((arch.input_dim,))
-    if offset != len(blob):
-        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes")
 
     params = ModelParams(arch, tensors, feat_mean, feat_std)
     adam = AdamState(m, v, _header_value(header, "adam_t", int, path))

@@ -9,6 +9,8 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 @contextmanager
@@ -19,6 +21,7 @@ def warnings_catcher():
 
 from danet.bsseval import (
     EvalConfig,
+    _Projector,
     bss_decompose,
     resolve_permutation,
     sdr_sir_sar,
@@ -105,6 +108,137 @@ class TestDecompose:
         with warnings_catcher() as caught:
             bss_decompose(refs[0] + refs[1], refs, 0, EvalConfig(proj_len=4))
         assert not caught
+
+
+def ridge_oracle(est, refs, L, target):
+    """(s_target, e_interf, e_artif) from dense lstsq on the explicit matrix
+    of delayed reference copies, with the projector's diagonal lift
+    (1e-10 x the largest reference energy, at least 1e-10) as ridge rows.
+    Plain lstsq differs from it only where the references are nearly
+    collinear: by up to 1e-3 on 7-sample draws, before this projector too."""
+    n = est.size
+    padded = np.concatenate([est, np.zeros(L - 1)])
+    ridge = np.sqrt(1e-10 * max(max(r @ r for r in refs), 1.0))
+
+    def project(which):
+        a = np.zeros((n + L - 1, len(which) * L))
+        for k, i in enumerate(which):
+            for tau in range(L):
+                a[tau:tau + n, k * L + tau] = refs[i]
+        lifted = np.vstack([a, ridge * np.eye(a.shape[1])])
+        rhs = np.concatenate([padded, np.zeros(a.shape[1])])
+        return a @ np.linalg.lstsq(lifted, rhs, rcond=None)[0]
+
+    s, p_all = project([target]), project(range(len(refs)))
+    return s, p_all - s, padded - p_all
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(n_refs=st.integers(1, 3), L=st.integers(1, 8), n_ests=st.integers(1, 3),
+       n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_projector_matches_dense_oracle_property(n_refs, L, n_ests, n, seed):
+    rng = np.random.default_rng(seed)
+    refs = [rng.normal(size=n) for _ in range(n_refs)]
+    ests = [rng.normal(size=n) for _ in range(n_ests)]
+    with warnings_catcher():   # references shorter than L are rank-deficient
+        parts = _Projector(refs, EvalConfig(proj_len=L)).decompose(ests)
+    for est, per_target in zip(ests, parts):
+        padded = np.concatenate([est, np.zeros(L - 1)])
+        for j, got in enumerate(per_target):
+            assert np.allclose(sum(got), padded, rtol=0, atol=1e-9)
+            for part, want in zip(got, ridge_oracle(est, refs, L, j)):
+                assert np.allclose(part, want, rtol=0, atol=1e-7)
+
+
+class TestProjector:
+    def test_batch_equals_each_estimate_alone(self):
+        rng = np.random.default_rng(71)
+        refs = [rng.normal(size=900) for _ in range(3)]
+        ests = [rng.normal(size=900) + refs[i] for i in range(3)]
+        projector = _Projector(refs, EvalConfig(proj_len=32))
+        together = projector.decompose(ests)
+        for est, parts in zip(ests, together):
+            alone = projector.decompose([est])[0]
+            for got, want in zip(parts, alone):
+                assert np.allclose(np.stack(got), np.stack(want), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3, 31, 32])
+    def test_short_references_match_the_oracle(self, n):
+        # n <= L: the delayed copies overhang, and every lag still counts once.
+        rng = np.random.default_rng(72 + n)
+        refs = [rng.normal(size=n), rng.normal(size=n)]
+        est = 0.8 * refs[0] + 0.3 * refs[1] + 0.1 * rng.normal(size=n)
+        with warnings_catcher():
+            parts = _Projector(refs, EvalConfig(proj_len=32)).decompose([est])[0]
+        for j in range(2):
+            for got, want in zip(parts[j], ridge_oracle(est, refs, 32, j)):
+                assert np.allclose(got, want, rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("n", [1, 3, 100, 511, 512])
+    def test_short_mixture_scores_at_default_taps(self, n):
+        rng = np.random.default_rng(73)
+        refs = [rng.normal(size=n), rng.normal(size=n)]
+        with warnings_catcher():
+            m = resolve_permutation([refs[1] + 0.1 * refs[0], refs[0].copy()], refs)
+        assert np.all(np.isfinite(m.sdr) & np.isfinite(m.sir) & np.isfinite(m.sar))
+        if n >= 100:   # below that, 512 delays of either reference fit either estimate
+            assert m.permutation == (1, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_estimate_named(self, bad):
+        refs = [np.ones(50), np.arange(50.0)]
+        est = np.ones(50)
+        est[7] = bad
+        with pytest.raises(ValueError, match="estimate 1 contains NaN or inf"):
+            resolve_permutation([np.ones(50), est], refs, EvalConfig(proj_len=4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_reference_named(self, bad):
+        refs = [np.ones(50), np.arange(50.0)]
+        refs[0][3] = bad
+        with pytest.raises(ValueError, match="reference 0 contains NaN or inf"):
+            bss_decompose(np.ones(50), refs, 0, EvalConfig(proj_len=4))
+
+    def test_failed_factor_falls_back_to_least_squares(self, monkeypatch):
+        from danet import bsseval
+
+        rng = np.random.default_rng(75)
+        refs = [rng.normal(size=400), rng.normal(size=400)]
+        ests = [refs[0] + 0.2 * refs[1], refs[1] + 0.1 * rng.normal(size=400)]
+        cfg = EvalConfig(proj_len=8)
+        expect = _Projector(refs, cfg).decompose(ests)
+        factor = bsseval.cho_factor
+
+        def refuse_all_refs(a, **kwargs):
+            if a.shape[0] > 8:
+                raise np.linalg.LinAlgError("not positive definite")
+            return factor(a, **kwargs)
+
+        monkeypatch.setattr(bsseval, "cho_factor", refuse_all_refs)
+        with warnings_catcher() as caught:
+            got = _Projector(refs, cfg).decompose(ests)
+        assert [str(w.message) for w in caught] == [
+            "singular projection system; falling back to least squares"]
+        for got_parts, want_parts in zip(got, expect):
+            for g, w in zip(got_parts, want_parts):
+                assert np.allclose(np.stack(g), np.stack(w), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("case, expected", [
+        ("silent reference 0", 2),   # the all-references factor and target 0's
+        ("silent reference 1", 2),   # the all-references factor and target 1's
+        ("identical stems", 1),      # the all-references factor only
+    ])
+    def test_one_warning_per_deficient_factor(self, case, expected):
+        rng = np.random.default_rng(74)
+        a, b = rng.normal(size=600), rng.normal(size=600)
+        refs = {"silent reference 0": [np.zeros(600), b],
+                "silent reference 1": [a, np.zeros(600)],
+                "identical stems": [a, a.copy()]}[case]
+        for L in (1, 8, 64):
+            with warnings_catcher() as caught:
+                resolve_permutation([a + b, a - b], refs, EvalConfig(proj_len=L))
+            assert [str(w.message) for w in caught] == (
+                ["rank-deficient references; projection is regularized"] * expected)
 
 
 class TestSdrSirSar:

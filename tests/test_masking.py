@@ -42,6 +42,29 @@ class TestWienerLikeMasks:
         with pytest.raises(ValueError, match="shape"):
             wiener_like_masks([np.ones((2, 2)), np.ones((2, 3))])
 
+    def test_huge_magnitudes_give_finite_masks(self):
+        # 1e160 squared overflows; the per-bin power-of-two scale keeps it finite.
+        m = wiener_like_masks([np.array([[1e160]]), np.array([[1e150]])])
+        assert m[0][0, 0] == 1.0 and m[1][0, 0] == pytest.approx(1e-20, rel=1e-12)
+        assert m[0][0, 0] + m[1][0, 0] == 1.0
+
+    @pytest.mark.parametrize("tiny", [1e-170, 1e-300, 5e-324])
+    def test_tiny_single_source_bin_is_not_silent(self, tiny):
+        # Squaring alone underflows to 0 below about 1e-162.
+        m = wiener_like_masks([np.array([[0.0, tiny]]), np.array([[tiny, tiny]])])
+        assert m[0][0, 0] == 0.0 and m[1][0, 0] == 1.0
+        assert m[0][0, 1] == 0.5 and m[1][0, 1] == 0.5
+
+    def test_power_of_two_scale_keeps_pcm_range_bits(self):
+        rng = np.random.default_rng(12)
+        mags = [rng.uniform(0, 300, size=(129, 40)) * rng.integers(0, 2, size=(129, 40))
+                for _ in range(3)]
+        powers = np.stack([m * m for m in mags])
+        total = powers.sum(axis=0)
+        expect = powers / np.where(total == 0, 1.0, total)
+        expect[:, total == 0] = 1.0 / 3
+        assert np.array_equal(np.stack(wiener_like_masks(mags)), expect)
+
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(data=st.data(), n_sources=st.integers(1, 4),

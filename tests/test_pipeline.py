@@ -1,5 +1,6 @@
 """Training-loop machinery tests: Adam, LR schedule, checkpoints, separation."""
 
+import os
 import warnings
 
 import numpy as np
@@ -185,6 +186,13 @@ class TestCheckpointIO:
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "c.danc"
+        save_checkpoint(self.fresh(), path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match=r"c\.danc: 8 trailing bytes"):
+            load_checkpoint(path)
+
     def test_every_truncation_rejected_with_path(self, tmp_path):
         params = init_params(TINY_NET, 0)
         params.feat_mean, params.feat_std = np.zeros(5), np.ones(5)
@@ -194,8 +202,9 @@ class TestCheckpointIO:
                                    best_val_loss=1.0, lr=1e-3), full)
         blob = full.read_bytes()
         path = tmp_path / "cut.danc"
-        for n in range(len(blob)):
-            path.write_bytes(blob[:n])
+        path.write_bytes(blob)
+        for n in reversed(range(len(blob))):
+            os.truncate(path, n)
             with pytest.raises(ValueError, match=r"cut\.danc: "):
                 load_checkpoint(path)
 
