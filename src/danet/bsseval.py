@@ -15,10 +15,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import cho_factor, cho_solve
 
+from .clustering import ALGOS
 from .dsp import StftConfig
 
 MAX_PERMUTATION_SOURCES = 4
-EVAL_ALGOS = ("kmeans", "gmm", "oracle_wfm", "oracle_ibm", "mixture")
+EVAL_ALGOS = (*ALGOS, "oracle_wfm", "oracle_ibm", "mixture")
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ def _score_record(rec, ckpt, algo: str, cfg: EvalConfig, seed: int,
         mix = read_wav(rec.mixture_path)
         refs = [read_wav(p) for p in rec.source_paths]
         n_src = len(refs)
-        if algo in ("kmeans", "gmm"):
+        if algo in ALGOS:
             ests = pipeline.separate(mix, ckpt, n_src, algo=algo, seed=seed)
             est_samples = [e.samples for e in ests]
         elif algo in ("oracle_wfm", "oracle_ibm"):
@@ -273,7 +274,7 @@ def evaluate_set(manifest_path, ckpt, algo: str, cfg: EvalConfig, out_csv,
     """
     from . import corpus
 
-    if algo in ("kmeans", "gmm") and ckpt is None:
+    if algo in ALGOS and ckpt is None:
         raise ValueError(f"algo {algo!r} needs a checkpoint")
     if algo not in EVAL_ALGOS:
         raise ValueError(f"unknown evaluation algo {algo!r}")

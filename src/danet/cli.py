@@ -17,9 +17,10 @@ import numpy as np
 import scipy
 
 from .bsseval import EVAL_ALGOS, EvalConfig, evaluate_set
+from .clustering import ALGOS
 from .corpus import DatasetRecipe, build_dataset, scan_corpus, synth_corpus
 from .dsp import StftConfig, read_wav, write_wav
-from .network import ArchSpec, count_params, finite_difference_check
+from .network import CELL_KINDS, ArchSpec, count_params, finite_difference_check
 from .pipeline import HyperParams, load_checkpoint, save_checkpoint, separate, train
 
 # The arch/stft/train/eval keys are the fields of these dataclasses, whose
@@ -63,25 +64,26 @@ DEFAULTS: dict[str, object] = {
     "gradcheck.step": 1e-5,
 }
 
-# Per subcommand: help text, file arguments (name -> required), and the
-# flags that set a config key. A flag's type is that of its key's default.
+# Per subcommand: help text, path arguments, and the flags that set a config
+# key. A path's kind is "file" or "dir" for an input that must exist, or "out";
+# a trailing "?" makes it optional. A flag's type is that of its key's default.
 COMMANDS = {
-    "synth": ("generate the synthetic corpus", {"--out": True},
+    "synth": ("generate the synthetic corpus", {"--out": "out"},
               {"--speakers": "synth.speakers", "--utts": "synth.utts",
                "--dur": "synth.dur", "--seed": "synth.seed"}),
-    "mix": ("build a two-speaker mixture dataset", {"--corpus": True, "--out": True},
+    "mix": ("build a two-speaker mixture dataset", {"--corpus": "dir", "--out": "out"},
             {"--train-min": "mix.train_min", "--valid-min": "mix.valid_min",
              "--test-min": "mix.test_min", "--seed": "mix.seed"}),
-    "train": ("train a separation model", {"--manifest": True, "--out": True},
+    "train": ("train a separation model", {"--manifest": "file", "--out": "out"},
               {"--epochs": "train.epochs", "--batch-size": "train.batch_size",
                "--lr0": "train.lr0", "--layers": "arch.layers", "--hidden": "arch.hidden",
                "--embed-dim": "arch.embed_dim", "--seed": "train.seed"}),
     "separate": ("separate one mixture WAV",
-                 {"--checkpoint": True, "--input": True, "--out-dir": False},
+                 {"--checkpoint": "file", "--input": "file", "--out-dir": "out?"},
                  {"--speakers": "separate.n_speakers", "--cluster": "separate.cluster",
                   "--seed": "separate.seed"}),
     "eval": ("score a manifest split",
-             {"--manifest": True, "--checkpoint": False, "--out": True},
+             {"--manifest": "file", "--checkpoint": "file?", "--out": "out"},
              {"--algo": "eval.algo", "--split": "eval.split", "--proj-len": "eval.proj_len"}),
     "count-params": ("closed-form parameter count", {},
                      {"--cell": "arch.cell", "--layers": "arch.layers",
@@ -92,9 +94,9 @@ COMMANDS = {
 }
 
 CHOICES = {
-    "separate.cluster": ["kmeans", "gmm"],
+    "separate.cluster": list(ALGOS),
     "eval.algo": list(EVAL_ALGOS),
-    "arch.cell": ["gru", "lstm"],
+    "arch.cell": list(CELL_KINDS),
 }
 
 
@@ -168,6 +170,19 @@ def _build(cls, cfg: dict, section: str):
         raise ConfigError(str(exc)) from exc
 
 
+def _check_inputs(args: argparse.Namespace) -> None:
+    """Every given input path must exist as the kind COMMANDS declares."""
+    for flag, kind in COMMANDS[args.command][1].items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        kind = kind.rstrip("?")
+        if value is None or kind == "out":
+            continue
+        path = Path(value)
+        if not (path.is_dir() if kind == "dir" else path.is_file()):
+            what = "directory" if kind == "dir" else "file"
+            raise ConfigError(f"{args.command}.{flag[2:]}: {what} not found: {path}")
+
+
 def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
     """Flags win over every other source of a key."""
     for key in COMMANDS[args.command][2].values():
@@ -190,28 +205,22 @@ def cmd_synth(cfg: dict, args) -> CommandOutcome:
 
 
 def cmd_mix(cfg: dict, args) -> CommandOutcome:
-    corpus_dir = Path(args.corpus)
-    if not corpus_dir.is_dir():
-        raise ConfigError(f"mix.corpus: directory not found: {corpus_dir}")
-    table = scan_corpus(corpus_dir)
+    table = scan_corpus(args.corpus)
     recipe = DatasetRecipe(train_s=60.0 * cfg["mix.train_min"],
                            valid_s=60.0 * cfg["mix.valid_min"],
                            test_s=60.0 * cfg["mix.test_min"],
                            snr_range=(cfg["mix.snr_lo"], cfg["mix.snr_hi"]),
                            seed=cfg["mix.seed"])
     out_dir = Path(args.out)
-    manifest = build_dataset(table, recipe, out_dir)
+    records = build_dataset(table, recipe, out_dir)
     echo_config(cfg, out_dir / "effective_config.txt")
-    counts = {s: len(manifest.split(s)) for s in ("train", "valid", "test")}
+    counts = {s: sum(r.split == s for r in records) for s in ("train", "valid", "test")}
     return CommandOutcome(
         artifacts=[str(out_dir / "manifest.jsonl")],
         summary=f"built {counts} mixtures under {out_dir}")
 
 
 def cmd_train(cfg: dict, args) -> CommandOutcome:
-    manifest = Path(args.manifest)
-    if not manifest.is_file():
-        raise ConfigError(f"train.manifest: file not found: {manifest}")
     hyper = _build(HyperParams, cfg, "train")
     arch = _build(ArchSpec, cfg, "arch")
     out_dir = Path(args.out)
@@ -228,7 +237,7 @@ def cmd_train(cfg: dict, args) -> CommandOutcome:
         print(f"epoch {row.epoch}: train {row.train_loss:.4f} "
               f"val {row.val_loss:.4f} lr {row.lr:.2e} ({row.seconds:.1f}s)")
 
-    result = train(manifest, hyper, arch, stft_cfg=_build(StftConfig, cfg, "stft"),
+    result = train(args.manifest, hyper, arch, stft_cfg=_build(StftConfig, cfg, "stft"),
                    resume_from=resume_from, progress=progress)
     # A resumed run that never beat its earlier best leaves that checkpoint be.
     if result.best is None:
@@ -246,13 +255,8 @@ def cmd_train(cfg: dict, args) -> CommandOutcome:
 
 
 def cmd_separate(cfg: dict, args) -> CommandOutcome:
-    ckpt_path = Path(args.checkpoint)
-    if not ckpt_path.is_file():
-        raise ConfigError(f"separate.checkpoint: file not found: {ckpt_path}")
     in_path = Path(args.input)
-    if not in_path.is_file():
-        raise ConfigError(f"separate.input: file not found: {in_path}")
-    ckpt = load_checkpoint(ckpt_path)
+    ckpt = load_checkpoint(args.checkpoint)
     mixture = read_wav(in_path)
     outs = separate(mixture, ckpt, n_speakers=cfg["separate.n_speakers"],
                     algo=cfg["separate.cluster"], seed=cfg["separate.seed"])
@@ -274,23 +278,15 @@ def cmd_separate(cfg: dict, args) -> CommandOutcome:
 
 
 def cmd_eval(cfg: dict, args) -> CommandOutcome:
-    manifest = Path(args.manifest)
-    if not manifest.is_file():
-        raise ConfigError(f"eval.manifest: file not found: {manifest}")
     algo = cfg["eval.algo"]
-    if algo in ("kmeans", "gmm") and not args.checkpoint:
+    if algo in ALGOS and not args.checkpoint:
         raise ConfigError(f"eval.algo={algo} requires --checkpoint")
-    ckpt = None
-    if args.checkpoint:
-        ckpt_path = Path(args.checkpoint)
-        if not ckpt_path.is_file():
-            raise ConfigError(f"eval.checkpoint: file not found: {ckpt_path}")
-        ckpt = load_checkpoint(ckpt_path)
+    ckpt = load_checkpoint(args.checkpoint) if args.checkpoint else None
     # The oracles mask at the run's geometry: the checkpoint's, else stft.*.
     stft_cfg = ckpt.stft_cfg if ckpt is not None else _build(StftConfig, cfg, "stft")
     out_csv = Path(args.out)
     out_csv.parent.mkdir(parents=True, exist_ok=True)
-    summary = evaluate_set(manifest, ckpt, algo, _build(EvalConfig, cfg, "eval"), out_csv,
+    summary = evaluate_set(args.manifest, ckpt, algo, _build(EvalConfig, cfg, "eval"), out_csv,
                            split=cfg["eval.split"], seed=cfg["eval.seed"], stft_cfg=stft_cfg)
     echo_config(cfg, out_csv.with_suffix(".config.txt"))
     if summary["count"] == 0:
@@ -326,10 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, files, flags) in COMMANDS.items():
+    for name, (help_text, paths, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag, required in files.items():
-            p.add_argument(flag, required=required)
+        for flag, kind in paths.items():
+            p.add_argument(flag, required=not kind.endswith("?"))
         for flag, key in flags.items():
             p.add_argument(flag, dest=key, type=type(DEFAULTS[key]), choices=CHOICES.get(key))
         if name == "train":
@@ -353,6 +349,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.set)
         cfg = _apply_flags(cfg, args)
+        _check_inputs(args)
         outcome = HANDLERS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

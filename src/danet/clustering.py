@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+ALGOS = ("kmeans", "gmm")  # the names cluster_attractors accepts
 KMEANS_RESTARTS = 5
 EM_TOL = 1e-6
 EM_MAX_ITER = 100

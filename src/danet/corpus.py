@@ -60,16 +60,6 @@ class MixtureRecord:
     seed: int
 
 
-@dataclass
-class Manifest:
-    records: list[MixtureRecord]
-    seed: int
-    recipe_version: int = RECIPE_VERSION
-
-    def split(self, name: str) -> list[MixtureRecord]:
-        return [r for r in self.records if r.split == name]
-
-
 @dataclass(frozen=True)
 class DatasetRecipe:
     """Target seconds per split plus the SNR draw range."""
@@ -115,15 +105,13 @@ class MixResult:
     snr_db: float
     gain: float
     scale: float
-    seed: int
 
 
 def _rms(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(x * x)))
 
 
-def make_mixture(utt_a: Waveform, utt_b: Waveform, snr_db: float,
-                 seed: int = 0) -> MixResult:
+def make_mixture(utt_a: Waveform, utt_b: Waveform, snr_db: float) -> MixResult:
     """Mix two utterances at an exact stem-RMS ratio of snr_db.
 
     Both are cropped to the shorter length; the gain lands on the second
@@ -149,7 +137,7 @@ def make_mixture(utt_a: Waveform, utt_b: Waveform, snr_db: float,
         b *= scale
     rate = utt_a.sample_rate
     return MixResult(Waveform(a + b, rate), (Waveform(a, rate), Waveform(b, rate)),
-                     snr_db, gain, scale, seed)
+                     snr_db, gain, scale)
 
 
 def _partition_pools(table: SpeakerTable, recipe: DatasetRecipe) -> dict[str, list[UttInfo]]:
@@ -201,8 +189,9 @@ def _pair_capacity(pool: list[UttInfo]) -> tuple[int, float]:
     return len(durs) * (len(durs) - 1) // 2, seconds
 
 
-def build_dataset(table: SpeakerTable, recipe: DatasetRecipe, out_dir) -> Manifest:
-    """Render seeded two-speaker mixtures to disk and write the manifest.
+def build_dataset(table: SpeakerTable, recipe: DatasetRecipe, out_dir) -> list[MixtureRecord]:
+    """Render seeded two-speaker mixtures to disk and write the manifest: one
+    JSON record per line after a first line of recipe metadata.
 
     The stored mixture WAV is the integer sum of the stored stem WAVs, so
     additivity holds exactly on disk. Per split, the total mixture duration
@@ -253,10 +242,10 @@ def build_dataset(table: SpeakerTable, recipe: DatasetRecipe, out_dir) -> Manife
             utt_a = by_speaker[speakers[spk_a]][rng.integers(len(by_speaker[speakers[spk_a]]))]
             utt_b = by_speaker[speakers[spk_b]][rng.integers(len(by_speaker[speakers[spk_b]]))]
             snr = float(rng.uniform(*recipe.snr_range))
-            mix_seed = int(rng.integers(2 ** 31))
+            mix_seed = int(rng.integers(2 ** 31))  # only recorded; later draws depend on it
 
             from .dsp import read_wav
-            result = make_mixture(read_wav(utt_a.path), read_wav(utt_b.path), snr, mix_seed)
+            result = make_mixture(read_wav(utt_a.path), read_wav(utt_b.path), snr)
 
             utt_id = f"{split}_{index:04d}"
             names = {kind: f"{utt_id}_{kind}.wav" for kind in ("mix", "s1", "s2")}
@@ -282,21 +271,11 @@ def build_dataset(table: SpeakerTable, recipe: DatasetRecipe, out_dir) -> Manife
             produced += result.mixture.duration
             index += 1
 
-    manifest = Manifest(records, recipe.seed)
-    save_manifest(manifest, out_dir / "manifest.jsonl")
-    return manifest
-
-
-def save_manifest(manifest: Manifest, path) -> None:
-    """One JSON record per line; first line carries the recipe metadata."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"meta": True, "recipe_version": manifest.recipe_version,
-                             "seed": manifest.seed}) + "\n")
-        for rec in manifest.records:
-            row = asdict(rec)
-            row["source_paths"] = list(rec.source_paths)
-            row["speaker_ids"] = list(rec.speaker_ids)
-            fh.write(json.dumps(row) + "\n")
+    with open(out_dir / "manifest.jsonl", "w") as fh:
+        fh.write(json.dumps({"meta": True, "recipe_version": RECIPE_VERSION,
+                             "seed": recipe.seed}) + "\n")
+        fh.writelines(json.dumps(asdict(rec)) + "\n" for rec in records)
+    return records
 
 
 def load_manifest(path) -> list[MixtureRecord]:

@@ -18,6 +18,7 @@ from scipy.special import expit as _sigmoid
 
 DIRECTIONS = ("fw", "bw")  # stacking order in the layer code and in checkpoints
 CELL_TENSORS = ("W", "U", "b_i", "b_h")
+CELL_KINDS = ("gru", "lstm")
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,9 @@ class ArchSpec:
             raise ValueError(f"non-positive architecture dimension in {self}")
         if self.embed_dim < 0:
             raise ValueError(f"embed_dim must be >= 0, got {self.embed_dim}")
-        if self.cell_kind not in ("gru", "lstm"):
-            raise ValueError(f"cell_kind must be 'gru' or 'lstm', got {self.cell_kind!r}")
+        if self.cell_kind not in CELL_KINDS:
+            raise ValueError(f"cell_kind must be {' or '.join(map(repr, CELL_KINDS))}, "
+                             f"got {self.cell_kind!r}")
 
     @property
     def fc_output(self) -> int:

@@ -2,7 +2,6 @@
 the clustering-based separation procedure used at test time."""
 
 import csv
-import math
 import os
 import struct
 import time
@@ -137,15 +136,17 @@ class LrSchedule:
 
 @dataclass
 class Checkpoint:
+    """The training state. With `_HEADER` and `_tensor_stream` it declares the
+    `.danc` layout, which save_checkpoint and load_checkpoint both follow."""
+
     params: ModelParams
     adam: AdamState
     stft_cfg: StftConfig
     sample_rate: int
     epoch: int
-    best_val_loss: float
     lr: float
+    best_val_loss: float
     epochs_since_best: int = 0
-    version: int = CHECKPOINT_VERSION
 
     @property
     def arch(self) -> ArchSpec:
@@ -153,6 +154,13 @@ class Checkpoint:
 
     def copy(self) -> "Checkpoint":
         return replace(self, params=self.params.copy(), adam=self.adam.copy())
+
+
+# Header sections in file order, as (key prefix, fields): the architecture,
+# the STFT geometry, the run state (Checkpoint from sample_rate on) and
+# Adam's step count.
+_HEADER = (("arch.", fields(ArchSpec)), ("stft.", fields(StftConfig)),
+           ("", fields(Checkpoint)[3:]), ("adam_", fields(AdamState)[2:]))
 
 
 def _tensor_stream(ckpt: Checkpoint) -> list[np.ndarray]:
@@ -166,30 +174,19 @@ def _tensor_stream(ckpt: Checkpoint) -> list[np.ndarray]:
             + [ckpt.params.feat_mean, ckpt.params.feat_std])
 
 
-def _fields_header(prefix: str, obj) -> list[tuple[str, object]]:
-    return [(f"{prefix}.{f.name}", getattr(obj, f.name)) for f in fields(obj)]
-
-
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write via a temp file in the same directory, so an interrupted write
     leaves any previous checkpoint at `path` intact."""
-    header_items = [
-        *_fields_header("arch", ckpt.arch),
-        *_fields_header("stft", ckpt.stft_cfg),
-        ("sample_rate", ckpt.sample_rate),
-        ("epoch", ckpt.epoch),
-        ("lr", repr(ckpt.lr)),
-        ("best_val_loss", repr(ckpt.best_val_loss)),
-        ("epochs_since_best", ckpt.epochs_since_best),
-        ("adam_t", ckpt.adam.t),
-    ]
-    header = "".join(f"{k}={v}\n" for k, v in header_items).encode()
+    header = "".join(f"{prefix}{f.name}={getattr(obj, f.name)}\n"
+                     for (prefix, flds), obj in zip(
+                         _HEADER, (ckpt.arch, ckpt.stft_cfg, ckpt, ckpt.adam))
+                     for f in flds).encode()
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", ckpt.version))
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
             fh.write(struct.pack("<I", len(header)))
             fh.write(header)
             for tensor in _tensor_stream(ckpt):
@@ -207,11 +204,6 @@ def _header_value(header: dict[str, str], key: str, kind, path):
         return kind(header[key])
     except ValueError as exc:
         raise ValueError(f"{path}: bad checkpoint header value {key}={header[key]!r}") from exc
-
-
-def _fields_from_header(cls, prefix: str, header: dict[str, str], path):
-    return cls(**{f.name: _header_value(header, f"{prefix}.{f.name}", f.type, path)
-                  for f in fields(cls)})
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -232,41 +224,27 @@ def load_checkpoint(path) -> Checkpoint:
     # A malformed line cannot supply a key; _header_value reports the key.
     header = dict(line.partition("=")[::2]
                   for line in blob[12:12 + header_len].decode(errors="replace").splitlines())
+    arch_kw, stft_kw, run_state, adam_kw = (
+        {f.name: _header_value(header, prefix + f.name, f.type, path) for f in flds}
+        for prefix, flds in _HEADER)
 
-    arch = _fields_from_header(ArchSpec, "arch", header, path)
-    cfg = _fields_from_header(StftConfig, "stft", header, path)
-
-    shapes = tensor_shapes(arch)
-    # Parameters, Adam m and v, then the feature mean and std: all float64.
-    size = 12 + header_len + 8 * (3 * sum(map(math.prod, shapes.values())) + 2 * arch.input_dim)
+    # A skeleton of the header's shapes, filled in _tensor_stream order.
+    arch = ArchSpec(**arch_kw)
+    params = ModelParams(arch, {name: np.empty(shape)
+                                for name, shape in tensor_shapes(arch).items()})
+    ckpt = Checkpoint(params, replace(AdamState.zeros(params), **adam_kw),
+                      StftConfig(**stft_kw), **run_state)
+    stream = _tensor_stream(ckpt)
+    size = 12 + header_len + sum(t.nbytes for t in stream)
     if len(blob) < size:
         raise ValueError(f"{path}: truncated checkpoint ({len(blob)} of {size} bytes)")
     if len(blob) > size:
         raise ValueError(f"{path}: {len(blob) - size} trailing bytes")
     offset = 12 + header_len
-
-    def take(shape):
-        nonlocal offset
-        count = math.prod(shape)
-        out = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        offset += 8 * count
-        return out.copy()
-
-    tensors = {name: take(shape) for name, shape in shapes.items()}
-    m = {name: take(shape) for name, shape in shapes.items()}
-    v = {name: take(shape) for name, shape in shapes.items()}
-    feat_mean = take((arch.input_dim,))
-    feat_std = take((arch.input_dim,))
-
-    params = ModelParams(arch, tensors, feat_mean, feat_std)
-    adam = AdamState(m, v, _header_value(header, "adam_t", int, path))
-    return Checkpoint(params=params, adam=adam, stft_cfg=cfg,
-                      sample_rate=_header_value(header, "sample_rate", int, path),
-                      epoch=_header_value(header, "epoch", int, path),
-                      best_val_loss=_header_value(header, "best_val_loss", float, path),
-                      lr=_header_value(header, "lr", float, path),
-                      epochs_since_best=_header_value(header, "epochs_since_best", int, path),
-                      version=version)
+    for tensor in stream:
+        tensor[...] = np.frombuffer(blob, "<f8", tensor.size, offset).reshape(tensor.shape)
+        offset += tensor.nbytes
+    return ckpt
 
 
 @dataclass
@@ -354,28 +332,28 @@ def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
     valid_records = [r for r in records if r.split == "valid"]
     if not train_records or not valid_records:
         raise ValueError("manifest needs non-empty train and valid splits")
+    requested = (arch, stft_cfg)
+    if resume_from is not None and (resume_from.arch, resume_from.stft_cfg) != requested:
+        raise ValueError(f"resume architecture and STFT geometry {resume_from.arch}, "
+                         f"{resume_from.stft_cfg} != requested {arch}, {stft_cfg}")
 
     raw_train = _load_split(train_records, stft_cfg)
     raw_valid = _load_split(valid_records, stft_cfg)
 
+    # The run's state; a fresh run starts from an epoch-0 checkpoint.
     if resume_from is not None:
         ckpt = resume_from.copy()
-        if ckpt.arch != arch:
-            raise ValueError(f"resume architecture {ckpt.arch} != requested {arch}")
-        mean, std = ckpt.params.feat_mean, ckpt.params.feat_std
-        schedule = LrSchedule(ckpt.lr, hyper.lr_halve_patience, hyper.lr_min,
-                              best=ckpt.best_val_loss, since_best=ckpt.epochs_since_best)
-        start_epoch = ckpt.epoch
-        params, adam = ckpt.params, ckpt.adam
     else:
-        mean, std = feature_stats([logmag for logmag, _, _ in raw_train])
         params = init_params(arch, hyper.seed)
-        params.feat_mean, params.feat_std = mean, std
-        adam = AdamState.zeros(params)
-        schedule = LrSchedule(hyper.lr0, hyper.lr_halve_patience, hyper.lr_min)
-        start_epoch = 0
+        params.feat_mean, params.feat_std = feature_stats([f for f, _, _ in raw_train])
+        ckpt = Checkpoint(params, AdamState.zeros(params), stft_cfg, SAMPLE_RATE,
+                          epoch=0, lr=hyper.lr0, best_val_loss=np.inf)
+    params, adam, start_epoch = ckpt.params, ckpt.adam, ckpt.epoch
+    schedule = LrSchedule(ckpt.lr, hyper.lr_halve_patience, hyper.lr_min,
+                          best=ckpt.best_val_loss, since_best=ckpt.epochs_since_best)
 
-    train_utts, valid_utts = ([_Utterance(standardize(f, mean, std), mag, masks)
+    train_utts, valid_utts = ([_Utterance(standardize(f, params.feat_mean, params.feat_std),
+                                          mag, masks)
                                for f, mag, masks in raw] for raw in (raw_train, raw_valid))
 
     def validation_loss() -> float:
@@ -386,14 +364,13 @@ def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
                                 [u.masks for u in chunk], params) * len(chunk)
         return total / len(valid_utts)
 
+    def advance(epoch) -> Checkpoint:
+        ckpt.epoch, ckpt.lr = epoch, schedule.lr
+        ckpt.best_val_loss, ckpt.epochs_since_best = schedule.best, schedule.since_best
+        return ckpt
+
     log = TrainLog()
     best_ckpt = None
-
-    def snapshot(epoch) -> Checkpoint:
-        return Checkpoint(params=params.copy(), adam=adam.copy(), stft_cfg=stft_cfg,
-                          sample_rate=SAMPLE_RATE, epoch=epoch, best_val_loss=schedule.best,
-                          lr=schedule.lr, epochs_since_best=schedule.since_best)
-
     for epoch in range(start_epoch + 1, start_epoch + hyper.epochs + 1):
         started = time.perf_counter()
         lr_this_epoch = schedule.lr
@@ -421,12 +398,12 @@ def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
         # A fresh run's first epoch is its best so far even if its loss is
         # not finite; a resumed run keeps its earlier best unless beaten.
         if improved or (best_ckpt is None and resume_from is None):
-            best_ckpt = snapshot(epoch)
+            best_ckpt = advance(epoch).copy()
         if progress is not None:
             progress(log.rows[-1])
 
-    last_ckpt = snapshot(start_epoch + hyper.epochs)
-    return TrainResult(best=best_ckpt, last=last_ckpt, log=log)
+    # Training is over, so the run's own state is the last checkpoint.
+    return TrainResult(best=best_ckpt, last=advance(start_epoch + hyper.epochs), log=log)
 
 
 def separate(mixture: Waveform, ckpt: Checkpoint, n_speakers: int = 2,

@@ -94,6 +94,16 @@ class TestTrainCommand:
         assert min(val[2:]) > val[1] == min(val)  # the recipe peaks at epoch 2
         assert (run / "checkpoint.danc").read_bytes() == best
 
+    def test_resume_at_another_stft_geometry_exits_1(self, workspace, tmp_path, capsys):
+        args = ["train", "--manifest", str(workspace / "mix" / "manifest.jsonl"),
+                "--out", str(tmp_path / "run"), "--epochs", "1", "--batch-size", "4",
+                "--layers", "1", "--hidden", "8", "--embed-dim", "4", "--seed", "2"]
+        assert main(["--set", "stft.hop=32", *args]) == 0
+        last = (tmp_path / "run" / "last.danc").read_bytes()
+        assert main([*args, "--resume"]) == 1
+        assert "hop=32" in capsys.readouterr().err
+        assert (tmp_path / "run" / "last.danc").read_bytes() == last
+
     def test_resume_without_checkpoint_exits_2(self, workspace, tmp_path):
         rc = main(["train", "--manifest", str(workspace / "mix" / "manifest.jsonl"),
                    "--out", str(tmp_path / "fresh"), "--resume"])

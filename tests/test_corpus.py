@@ -144,9 +144,9 @@ class TestBuildDataset:
 
     def test_manifest_round_trip_and_additivity(self, small_corpus, tmp_path):
         _, table = small_corpus
-        manifest = build_dataset(table, self.recipe(), tmp_path / "mix")
+        built = build_dataset(table, self.recipe(), tmp_path / "mix")
         records = load_manifest(tmp_path / "mix" / "manifest.jsonl")
-        assert len(records) == len(manifest.records)
+        assert len(records) == len(built)
         rec = records[0]
         mix_ints, _ = read_pcm16(rec.mixture_path)
         s1_ints, _ = read_pcm16(rec.source_paths[0])
@@ -165,9 +165,9 @@ class TestBuildDataset:
 
     def test_durations_within_five_percent(self, small_corpus, tmp_path):
         _, table = small_corpus
-        manifest = build_dataset(table, self.recipe(), tmp_path / "mix")
+        records = build_dataset(table, self.recipe(), tmp_path / "mix")
         for split, target in self.recipe().targets().items():
-            total = sum(r.duration for r in manifest.split(split))
+            total = sum(r.duration for r in records if r.split == split)
             assert total >= target
             assert abs(total - target) <= 0.05 * target
 
@@ -179,8 +179,8 @@ class TestBuildDataset:
 
     def test_recorded_snr_matches_stored_stems_to_quantization(self, small_corpus, tmp_path):
         _, table = small_corpus
-        manifest = build_dataset(table, self.recipe(), tmp_path / "mix")
-        for rec in manifest.records[:4]:
+        records = build_dataset(table, self.recipe(), tmp_path / "mix")
+        for rec in records[:4]:
             base = tmp_path / "mix"
             s1 = read_wav(base / rec.source_paths[0]).samples
             s2 = read_wav(base / rec.source_paths[1]).samples
@@ -189,15 +189,28 @@ class TestBuildDataset:
 
     def test_distinct_speakers_within_each_mixture(self, small_corpus, tmp_path):
         _, table = small_corpus
-        manifest = build_dataset(table, self.recipe(), tmp_path / "mix")
-        for rec in manifest.records:
+        records = build_dataset(table, self.recipe(), tmp_path / "mix")
+        for rec in records:
             assert rec.speaker_ids[0] != rec.speaker_ids[1]
 
     def test_test_split_pairs_unique(self, small_corpus, tmp_path):
         _, table = small_corpus
-        manifest = build_dataset(table, self.recipe(), tmp_path / "mix")
-        pairs = [tuple(sorted(r.speaker_ids)) for r in manifest.split("test")]
+        records = build_dataset(table, self.recipe(), tmp_path / "mix")
+        pairs = [tuple(sorted(r.speaker_ids)) for r in records if r.split == "test"]
         assert len(pairs) == len(set(pairs))
+
+    def test_manifest_text_is_pinned(self, small_corpus, tmp_path):
+        _, table = small_corpus
+        build_dataset(table, self.recipe(), tmp_path / "mix")
+        lines = (tmp_path / "mix" / "manifest.jsonl").read_text().splitlines(keepends=True)
+        assert "".join(lines[:2]) == (
+            '{"meta": true, "recipe_version": 2, "seed": 5}\n'
+            '{"utt_id": "train_0000", "split": "train", '
+            '"mixture_path": "train/train_0000_mix.wav", '
+            '"source_paths": ["train/train_0000_s1.wav", "train/train_0000_s2.wav"], '
+            '"speaker_ids": ["spk00", "spk04"], "snr_db": 1.8992258750578301, '
+            '"gain": 0.7255625864969293, "scale": 1.0, "duration": 1.5, '
+            '"seed": 1494391660}\n')
 
     def test_version_1_manifest_still_loads(self, small_corpus, tmp_path):
         _, table = small_corpus
@@ -228,8 +241,8 @@ class TestSplitPools:
         assert sum(len(p) for p in pools.values()) == 16
         for name, pool in pools.items():
             assert len({u.speaker_id for u in pool}) >= 3, name
-        manifest = build_dataset(four_speakers, recipe, tmp_path / "mix")
-        assert sum(r.duration for r in manifest.split("test")) >= 2.0
+        records = build_dataset(four_speakers, recipe, tmp_path / "mix")
+        assert sum(r.duration for r in records if r.split == "test") >= 2.0
 
     def test_pair_capacity_shortfall_refused_before_writing(self, tmp_path):
         # 4 speakers give 6 distinct pairs; 4 s of 0.5-s test mixtures needs 8.

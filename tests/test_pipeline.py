@@ -320,6 +320,14 @@ class TestTrain:
             assert np.array_equal(direct.last.params.tensors[name],
                                   resumed.last.params.tensors[name])
 
+    def test_resume_at_another_stft_geometry_refused_before_reading(self, tiny_dataset,
+                                                                   monkeypatch):
+        part = train(tiny_dataset, tiny_hyper(epochs=1), TINY_ARCH, StftConfig(hop=32))
+        monkeypatch.setattr(pipeline, "read_wav",
+                            lambda path: pytest.fail(f"read {path} before refusing"))
+        with pytest.raises(ValueError, match=r"geometry .*hop=32.* != .*hop=64"):
+            train(tiny_dataset, tiny_hyper(epochs=1), TINY_ARCH, resume_from=part.last)
+
     def test_single_utterance_overfit(self, tiny_dataset):
         # Toy net driven hard on one short mixture: loss collapses below 1%
         # of its first-epoch value within 200 epochs.
