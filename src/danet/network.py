@@ -6,6 +6,12 @@ embedding means; dot products against them drive sigmoid masks and a
 magnitude-weighted reconstruction loss. Both the forward pass and the exact
 gradients are implemented here in plain numpy.
 
+Training never forms the embeddings. V(t,f) = W_f s(t) + b_f is linear in
+the top BGRU output s, so the attractor head contracts s directly: the
+mask-weighted sums over frames are taken before the map, and the scores are
+s(t).(a W_f) + a.b_f (see `_scored_batch`). `forward_embed` forms V, because
+clustering at inference needs it.
+
 Embedding layout: V is K x (F*T) with column index t*F + f (frequency-major
 within each frame). An F x T matrix M flattens to that layout via
 M.ravel(order="F").
@@ -161,14 +167,16 @@ def _stacked_cell(params: ModelParams, layer: int):
     return [np.stack([cell[k] for cell in cells]) for k in CELL_TENSORS]
 
 
-def _run_layer(x_seq: np.ndarray, frame_mask: np.ndarray, params: ModelParams, layer: int):
+def _run_layer(x_seq: np.ndarray, frame_mask: np.ndarray, params: ModelParams, layer: int,
+               keep_cache: bool):
     """Run both GRU directions of one layer over a padded batch in one time loop.
 
     State and activations are stacked (2, B, ...) over DIRECTIONS, the bw half
     in reversed time. Padded steps (frame_mask 0) carry the hidden state
     through unchanged, so the bw direction of a short utterance starts from
     zeros at its true last frame rather than from padding.
-    Returns the (B, T, 2h) output and the cache for `_backward_layer`.
+    Returns the (B, T, 2h) output and, with keep_cache, the cache for
+    `_backward_layer` (else None).
     """
     W, U, b_i, b_h = _stacked_cell(params, layer)
     B, T, _ = x_seq.shape
@@ -178,7 +186,9 @@ def _run_layer(x_seq: np.ndarray, frame_mask: np.ndarray, params: ModelParams, l
     U_T = U.transpose(0, 2, 1)
     b_h = b_h[:, None, :]
 
-    z, r, n, rn, h_seq = (np.empty((2, B, T, h_dim)) for _ in range(5))
+    h_seq = np.empty((2, B, T, h_dim))
+    if keep_cache:
+        z, r, n, rn = (np.empty((2, B, T, h_dim)) for _ in range(4))
     h = np.zeros((2, B, h_dim))
     for t in range(T):
         rec = h @ U_T + b_h
@@ -188,10 +198,11 @@ def _run_layer(x_seq: np.ndarray, frame_mask: np.ndarray, params: ModelParams, l
         n_t = np.tanh(a_in[:, :, t, 2 * h_dim:] + r_t * rn_t)
         h_new = (1.0 - z_t) * n_t + z_t * h
         m = mask[:, :, t]
-        z[:, :, t], r[:, :, t], n[:, :, t], rn[:, :, t] = z_t, r_t, n_t, rn_t
+        if keep_cache:
+            z[:, :, t], r[:, :, t], n[:, :, t], rn[:, :, t] = z_t, r_t, n_t, rn_t
         h_seq[:, :, t] = h = m * h_new + (1.0 - m) * h
     out = np.concatenate(_reverse_bw(h_seq), axis=2)
-    return out, (x_seq, mask, z, r, n, rn, h_seq)
+    return out, ((x_seq, mask, z, r, n, rn, h_seq) if keep_cache else None)
 
 
 def _backward_layer(d_out: np.ndarray, params: ModelParams, layer: int, cache):
@@ -241,40 +252,20 @@ def _backward_layer(d_out: np.ndarray, params: ModelParams, layer: int, cache):
     return dx_seq, grads
 
 
-def _forward_batch(x: np.ndarray, frame_mask: np.ndarray, params: ModelParams):
-    """BGRU stack + linear map on a padded batch.
+def _forward_batch(x: np.ndarray, frame_mask: np.ndarray, params: ModelParams,
+                   keep_cache: bool):
+    """The BGRU stack on a padded batch.
 
     x: (B, T, F) features, frame_mask: (B, T) in {0, 1}.
-    Returns emb (B, T, F, K) and the cache for the backward pass.
+    Returns the top layer's output s (B, T, 2h) and the per-layer caches for
+    the backward pass (None each without keep_cache).
     """
-    arch = params.arch
     layer_caches = []
     seq = x
-    for layer in range(arch.num_layers):
-        seq, layer_cache = _run_layer(seq, frame_mask, params, layer)
+    for layer in range(params.arch.num_layers):
+        seq, layer_cache = _run_layer(seq, frame_mask, params, layer, keep_cache)
         layer_caches.append(layer_cache)
-
-    B, T = x.shape[:2]
-    y = seq @ params.tensors["fc.W"].T + params.tensors["fc.b"]
-    emb = y.reshape(B, T, arch.input_dim, arch.embed_dim)
-    return emb, (layer_caches, seq)
-
-
-def _backward_batch(d_emb: np.ndarray, params: ModelParams, cache) -> dict[str, np.ndarray]:
-    """Gradients of every parameter tensor given d loss / d embeddings."""
-    arch = params.arch
-    layer_caches, layer_out = cache
-    B, T = d_emb.shape[:2]
-    dy = d_emb.reshape(B, T, arch.fc_output)
-    flat_dy = dy.reshape(B * T, arch.fc_output)
-    flat_out = layer_out.reshape(B * T, -1)
-
-    grads = {"fc.W": flat_dy.T @ flat_out, "fc.b": flat_dy.sum(axis=0)}
-    d_seq = dy @ params.tensors["fc.W"]
-    for layer in range(arch.num_layers - 1, -1, -1):
-        d_seq, layer_grads = _backward_layer(d_seq, params, layer, layer_caches[layer])
-        grads.update(layer_grads)
-    return {name: grads[name] for name in params.tensors}
+    return seq, layer_caches
 
 
 def forward_embed(features: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -284,9 +275,9 @@ def forward_embed(features: np.ndarray, params: ModelParams) -> np.ndarray:
         raise ValueError(f"expected {params.arch.input_dim} feature rows, "
                          f"got {features.shape[0]}")
     T = features.shape[1]
-    x = features.T[None, :, :]
-    emb, _ = _forward_batch(x, np.ones((1, T)), params)
-    V = emb[0].reshape(T * features.shape[0], params.arch.embed_dim).T
+    seq, _ = _forward_batch(features.T[None, :, :], np.ones((1, T)), params, keep_cache=False)
+    y = seq @ params.tensors["fc.W"].T + params.tensors["fc.b"]
+    V = y[0].reshape(T * features.shape[0], params.arch.embed_dim).T
     if not np.all(np.isfinite(V)):
         raise FloatingPointError("non-finite activations in forward pass")
     return V
@@ -341,6 +332,8 @@ def reconstruction_loss(mix_mag: np.ndarray, ideal_masks: list[np.ndarray],
 
 
 def _pad_batch(features, mix_mags, ideal_masks, arch):
+    """Zero-pad a batch to its longest utterance: features x (B, T, F),
+    magnitudes X (B, F, T), ideal masks M (B, I, F, T) and the frame mask."""
     B = len(features)
     if not (B == len(mix_mags) == len(ideal_masks)):
         raise ValueError("features, magnitudes and masks must align")
@@ -350,50 +343,67 @@ def _pad_batch(features, mix_mags, ideal_masks, arch):
     T = max(lengths)
 
     x = np.zeros((B, T, F))
-    X = np.zeros((B, T, F))
-    M = np.zeros((B, n_spk, T, F))
+    X = np.zeros((B, F, T))
+    M = np.zeros((B, n_spk, F, T))
     frame_mask = np.zeros((B, T))
     for b in range(B):
         t_b = lengths[b]
         x[b, :t_b] = np.asarray(features[b]).T
-        X[b, :t_b] = np.asarray(mix_mags[b]).T
+        X[b, :, :t_b] = mix_mags[b]
         frame_mask[b, :t_b] = 1.0
         if len(ideal_masks[b]) != n_spk:
             raise ValueError("speaker count differs across the batch")
         for i, mask in enumerate(ideal_masks[b]):
-            M[b, i, :t_b] = np.asarray(mask).T
+            M[b, i, :, :t_b] = mask
     return x, X, M, frame_mask, n_spk
 
 
-def _attractor_masks(emb, M):
-    """Per-utterance attractors and sigmoid mask estimates from a padded batch."""
-    mass = M.sum(axis=(2, 3))
+def _fc_factors(params: ModelParams):
+    """The linear map as Wk (K, F*2h), Wk[k, f*2h + d] = W_f[k, d], and bk (K, F)."""
+    F, K = params.arch.input_dim, params.arch.embed_dim
+    W = params.tensors["fc.W"]
+    return (W.reshape(F, K, -1).transpose(1, 0, 2).reshape(K, -1),
+            params.tensors["fc.b"].reshape(F, K).T)
+
+
+def _scored_batch(features, mix_mags, ideal_masks, params: ModelParams, keep_cache: bool):
+    """Pad, run the BGRU stack and score a batch: the mean per-utterance loss,
+    plus what its gradient needs.
+
+    The embeddings V(t,f) = W_f s(t) + b_f are never formed. With
+    P(i,f) = sum_t M(i,t,f) s(t) and m(i,f) = sum_t M(i,t,f), utterance i's
+    attractor is a = (sum_f W_f P + m b_f) / sum_f m, and its scores are
+    s(t).G(f) + c(f) with G = a W_f and c = a b_f. Every product is a GEMM
+    over rows (b, i) or over frames.
+    """
+    x, X, M, frame_mask, n_spk = _pad_batch(features, mix_mags, ideal_masks, params.arch)
+    s, caches = _forward_batch(x, frame_mask, params, keep_cache)
+    Wk, bk = _fc_factors(params)
+    B, _, F, T = M.shape
+    m = M.sum(axis=3).reshape(B * n_spk, F)
+    mass = m.sum(axis=1, keepdims=True)
     if np.any(mass == 0):
         raise ValueError("an utterance has an all-zero ideal mask; attractor undefined")
-    attractors = np.einsum("bitf,btfk->bik", M, emb) / mass[:, :, None]
-    scores = np.einsum("bik,btfk->bitf", attractors, emb)
-    return mass, attractors, _sigmoid(scores)
-
-
-def _scored_batch(features, mix_mags, ideal_masks, params: ModelParams):
-    """Pad, embed and score a batch: the mean per-utterance loss, plus what
-    its gradient needs."""
-    x, X, M, frame_mask, n_spk = _pad_batch(features, mix_mags, ideal_masks, params.arch)
-    emb, cache = _forward_batch(x, frame_mask, params)
-    if not np.all(np.isfinite(emb)):
+    P = (M.reshape(B, n_spk * F, T) @ s).reshape(B * n_spk, -1)   # rows (b, i)
+    attractors = (P @ Wk.T + m @ bk.T) / mass
+    G = attractors @ Wk
+    c = attractors @ bk
+    scores = G.reshape(B, n_spk * F, -1) @ s.transpose(0, 2, 1)
+    scores += c.reshape(B, n_spk * F, 1)
+    if not np.all(np.isfinite(scores)):
         raise FloatingPointError("non-finite activations in forward pass")
-    mass, attractors, m_hat = _attractor_masks(emb, M)
+    m_hat = _sigmoid(scores).reshape(M.shape)
     Xsq = X * X
     err = M - m_hat
     count = n_spk * len(features)
     loss = float(np.sum(Xsq[:, None] * err * err)) / count
-    return loss, (cache, emb, M, Xsq, count, mass, attractors, m_hat)
+    return loss, (caches, s, M, m, mass, P, attractors, G, Xsq, count, m_hat)
 
 
 def batch_loss(features: list[np.ndarray], mix_mags: list[np.ndarray],
                ideal_masks: list[list[np.ndarray]], params: ModelParams) -> float:
     """Mean per-utterance loss over a padded batch, forward pass only."""
-    return _scored_batch(features, mix_mags, ideal_masks, params)[0]
+    return _scored_batch(features, mix_mags, ideal_masks, params, keep_cache=False)[0]
 
 
 def batch_loss_and_grads(features: list[np.ndarray], mix_mags: list[np.ndarray],
@@ -403,16 +413,35 @@ def batch_loss_and_grads(features: list[np.ndarray], mix_mags: list[np.ndarray],
     Utterances are zero-padded to a common frame count; a per-utterance frame
     mask keeps padded frames out of the recurrences and out of the loss.
     """
-    loss, (cache, emb, M, Xsq, count, mass, attractors, m_hat) = _scored_batch(
-        features, mix_mags, ideal_masks, params)
+    loss, (caches, s, M, m, mass, P, attractors, G, Xsq, count, m_hat) = _scored_batch(
+        features, mix_mags, ideal_masks, params, keep_cache=True)
+    Wk, bk = _fc_factors(params)
+    B, n_spk, F, T = M.shape
+    by_bin = (B, n_spk * F, -1)
 
+    # Back through the fold: dG = sum_t dS s, dc = sum_t dS, da = (dG.W_f +
+    # dc b_f) / mass and dP = da W_f; fc.W gets a dG + da P, fc.b a dc + da m,
+    # and s(t) gets dS G + M dP.
     d_mhat = (2.0 / count) * Xsq[:, None] * (m_hat - M)
-    d_scores = d_mhat * m_hat * (1.0 - m_hat)
-    d_attr = np.einsum("bitf,btfk->bik", d_scores, emb)
-    d_emb = np.einsum("bitf,bik->btfk", d_scores, attractors)
-    d_emb += np.einsum("bik,bitf->btfk", d_attr / mass[:, :, None], M)
+    d_scores = (d_mhat * m_hat * (1.0 - m_hat)).reshape(by_bin)
+    dG = (d_scores @ s).reshape(P.shape)
+    dc = d_scores.sum(axis=2).reshape(m.shape)
+    d_attr = (dG @ Wk.T + dc @ bk.T) / mass
+    dP = d_attr @ Wk
 
-    grads = _backward_batch(d_emb, params, cache)
+    dWk = attractors.T @ dG
+    dWk += d_attr.T @ P
+    dbk = attractors.T @ dc + d_attr.T @ m
+    K = params.arch.embed_dim
+    grads = {"fc.W": dWk.reshape(K, F, -1).transpose(1, 0, 2).reshape(F * K, -1),
+             "fc.b": dbk.T.ravel()}
+
+    d_seq = d_scores.transpose(0, 2, 1) @ G.reshape(by_bin)
+    d_seq += M.reshape(by_bin).transpose(0, 2, 1) @ dP.reshape(by_bin)
+    for layer in range(params.arch.num_layers - 1, -1, -1):
+        d_seq, layer_grads = _backward_layer(d_seq, params, layer, caches[layer])
+        grads.update(layer_grads)
+    grads = {name: grads[name] for name in params.tensors}
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for {name}")
@@ -428,30 +457,35 @@ def backward(features: np.ndarray, mix_mag: np.ndarray,
 TINY_NET = ArchSpec(input_dim=5, num_layers=1, hidden_per_direction=4, embed_dim=3)
 
 
-def finite_difference_check(arch: ArchSpec = TINY_NET, seed: int = 0,
-                            step: float = 1e-5) -> tuple[float, dict[str, float]]:
+def finite_difference_check(arch: ArchSpec = TINY_NET, seed: int = 0, step: float = 1e-5,
+                            lengths: tuple[int, ...] = (4,)) -> tuple[float, dict[str, float]]:
     """Compare analytic gradients against central finite differences.
 
-    The numeric side re-evaluates the loss through the single-utterance
-    operation chain (embed, attractors, masks, loss) and never touches the
-    analytic backward pass. Returns the overall max relative error and the
-    per-tensor maxima.
+    The analytic side is `batch_loss_and_grads` on one padded batch of
+    two-speaker utterances with the given frame counts. The numeric side
+    re-evaluates the mean loss through the single-utterance operation chain
+    (embed, attractors, masks, loss) and never touches the analytic backward
+    pass. Returns the overall max relative error and the per-tensor maxima.
     """
     rng = np.random.default_rng(seed)
-    T, n_spk = 4, 2
+    n_spk = 2
     params = init_params(arch, seed)
-    features = rng.normal(size=(arch.input_dim, T))
-    mix_mag = rng.uniform(0.2, 1.5, size=(arch.input_dim, T))
-    owner = rng.integers(0, n_spk, size=(arch.input_dim, T))
-    masks = [(owner == i).astype(float) for i in range(n_spk)]
+    utts = []
+    for T in lengths:
+        features = rng.normal(size=(arch.input_dim, T))
+        mix_mag = rng.uniform(0.2, 1.5, size=(arch.input_dim, T))
+        owner = rng.integers(0, n_spk, size=(arch.input_dim, T))
+        utts.append((features, mix_mag, [(owner == i).astype(float) for i in range(n_spk)]))
 
     def loss_at() -> float:
-        V = forward_embed(features, params)
-        attractors = train_attractors(V, masks)
-        est = estimate_masks(V, attractors, arch.input_dim)
-        return reconstruction_loss(mix_mag, masks, est)
+        total = 0.0
+        for features, mix_mag, masks in utts:
+            V = forward_embed(features, params)
+            est = estimate_masks(V, train_attractors(V, masks), arch.input_dim)
+            total += reconstruction_loss(mix_mag, masks, est)
+        return total / len(utts)
 
-    _, analytic = backward(features, mix_mag, masks, params)
+    _, analytic = batch_loss_and_grads(*map(list, zip(*utts)), params)
 
     per_tensor: dict[str, float] = {}
     for name, tensor in params.tensors.items():

@@ -91,7 +91,13 @@ class AdamState:
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState,
               lr: float, beta1: float = HyperParams.beta1,
               beta2: float = HyperParams.beta2, eps: float = HyperParams.eps) -> None:
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update, in place.
+
+    m = beta1 m + (1-beta1) g, v = beta2 v + (1-beta2) g g, and
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps), with the operations of that
+    expression in its order, so the result is bit-identical to it. The
+    temporaries go into two scratch buffers allocated once per call.
+    """
     if lr <= 0:
         raise ValueError(f"lr must be positive, got {lr}")
     for name, g in grads.items():
@@ -100,14 +106,24 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
+    largest = max((g.size for g in grads.values()), default=0)
+    buf_a, buf_b = np.empty(largest), np.empty(largest)
     for name, g in grads.items():
         m = state.m[name]
         v = state.v[name]
+        a = buf_a[:g.size].reshape(g.shape)
+        b = buf_b[:g.size].reshape(g.shape)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(1.0 - beta1, g, out=a)
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        params.tensors[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        np.multiply(1.0 - beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += eps
+        np.divide(m, bc1, out=b)
+        b *= lr
+        params.tensors[name] -= np.divide(b, a, out=b)
 
 
 class LrSchedule:
@@ -229,11 +245,14 @@ def load_checkpoint(path) -> Checkpoint:
         for prefix, flds in _HEADER)
 
     # A skeleton of the header's shapes, filled in _tensor_stream order.
-    arch = ArchSpec(**arch_kw)
-    params = ModelParams(arch, {name: np.empty(shape)
-                                for name, shape in tensor_shapes(arch).items()})
-    ckpt = Checkpoint(params, replace(AdamState.zeros(params), **adam_kw),
-                      StftConfig(**stft_kw), **run_state)
+    try:
+        arch = ArchSpec(**arch_kw)
+        params = ModelParams(arch, {name: np.empty(shape)
+                                    for name, shape in tensor_shapes(arch).items()})
+        ckpt = Checkpoint(params, replace(AdamState.zeros(params), **adam_kw),
+                          StftConfig(**stft_kw), **run_state)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     stream = _tensor_stream(ckpt)
     size = 12 + header_len + sum(t.nbytes for t in stream)
     if len(blob) < size:

@@ -56,3 +56,12 @@ def test_explicit_fd_on_fc_bias():
         numeric = (plus - minus) / (2 * step)
         analytic = grads["fc.b"][idx]
         assert abs(analytic - numeric) <= 1e-4 * max(abs(analytic), abs(numeric), 1e-5)
+
+
+def test_padded_batch_check():
+    # Unequal lengths, so padded frames and the m_f * b_f term of the folded
+    # attractors both enter; every tensor, fc.W and fc.b included.
+    arch = ArchSpec(input_dim=3, num_layers=2, hidden_per_direction=2, embed_dim=2)
+    max_err, per_tensor = finite_difference_check(arch, seed=12, step=1e-5, lengths=(3, 6))
+    assert set(per_tensor) == set(init_params(arch, 12).tensors)
+    assert max_err < 1e-4, f"worst tensors: {sorted(per_tensor.items(), key=lambda kv: -kv[1])[:3]}"

@@ -9,6 +9,7 @@ from danet.network import (
     ArchSpec,
     ModelParams,
     backward,
+    batch_loss,
     batch_loss_and_grads,
     count_params,
     estimate_masks,
@@ -288,6 +289,25 @@ class TestBackward:
         for name in grads_b:
             mean_grad = (singles[0][1][name] + singles[1][1][name]) / 2.0
             np.testing.assert_allclose(grads_b[name], mean_grad, rtol=1e-11, atol=1e-13)
+
+    def test_folded_loss_equals_explicit_chain_at_desk_width(self):
+        # The training head never forms V; at F=129, K=10 its loss on a padded
+        # batch must still be the mean loss of the explicit per-utterance chain.
+        arch = ArchSpec(input_dim=129, num_layers=2, hidden_per_direction=8, embed_dim=10)
+        params = init_params(arch, 34)
+        rng = np.random.default_rng(34)
+        utts = []
+        for T in (5, 11, 8):
+            owner = rng.integers(0, 2, size=(129, T))
+            utts.append((rng.normal(size=(129, T)), rng.uniform(0.1, 2.0, size=(129, T)),
+                         [(owner == i).astype(float) for i in range(2)]))
+        explicit = []
+        for feats, mag, masks in utts:
+            V = forward_embed(feats, params)
+            est = estimate_masks(V, train_attractors(V, masks), 129)
+            explicit.append(reconstruction_loss(mag, masks, est))
+        folded = batch_loss(*map(list, zip(*utts)), params)
+        assert folded == pytest.approx(np.mean(explicit), rel=1e-12)
 
     def test_deterministic(self):
         arch = ArchSpec(input_dim=3, num_layers=1, hidden_per_direction=2, embed_dim=2)

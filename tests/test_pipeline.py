@@ -94,6 +94,26 @@ class TestAdam:
             adam_step(params, grads, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
             assert bias[0] == pytest.approx(trace[t], abs=1e-12)
 
+    def test_three_steps_equal_textbook_expression_bitwise(self):
+        lr, b1, b2, eps = 3e-3, 0.8, 0.99, 1e-6
+        params, state = self.make(seed=91)
+        rng = np.random.default_rng(91)
+        ref_p = {k: v.copy() for k, v in params.tensors.items()}
+        ref_m = {k: np.zeros_like(v) for k, v in ref_p.items()}
+        ref_v = {k: np.zeros_like(v) for k, v in ref_p.items()}
+        for t in (1, 2, 3):
+            grads = {k: rng.normal(size=v.shape) for k, v in ref_p.items()}
+            for k, g in grads.items():
+                ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g
+                ref_v[k] = b2 * ref_v[k] + (1.0 - b2) * g * g
+                ref_p[k] = ref_p[k] - lr * (ref_m[k] / (1.0 - b1 ** t)) / (
+                    np.sqrt(ref_v[k] / (1.0 - b2 ** t)) + eps)
+            adam_step(params, grads, state, lr=lr, beta1=b1, beta2=b2, eps=eps)
+            for k in ref_p:
+                assert np.array_equal(state.m[k], ref_m[k])
+                assert np.array_equal(state.v[k], ref_v[k])
+                assert np.array_equal(params.tensors[k], ref_p[k])
+
     def test_non_finite_gradient_rejected(self):
         params, state = self.make()
         grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
@@ -251,6 +271,18 @@ class TestCheckpointIO:
         save_checkpoint(self.fresh(), path)
         self.edit_header(path, b"epoch=9\n", b"epoch=nine\n")
         with pytest.raises(ValueError, match=r"c\.danc: bad checkpoint header value epoch="):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("old, new, reason", [
+        (b"arch.cell_kind=gru\n", b"arch.cell_kind=lstm\n", "only GRU cells are trainable"),
+        (b"arch.num_layers=1\n", b"arch.num_layers=0\n", "non-positive architecture dimension"),
+        (b"stft.hop=64\n", b"stft.hop=100\n", "hop must divide win_len"),
+    ], ids=["cell_kind", "num_layers", "hop"])
+    def test_unloadable_header_value_names_path(self, tmp_path, old, new, reason):
+        path = tmp_path / "c.danc"
+        save_checkpoint(self.fresh(), path)
+        self.edit_header(path, old, new)
+        with pytest.raises(ValueError, match=rf"c\.danc: {reason}"):
             load_checkpoint(path)
 
     def test_header_length_past_end_rejected(self, tmp_path):
