@@ -4,6 +4,7 @@ the clustering-based separation procedure used at test time."""
 import csv
 import os
 import struct
+import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -223,46 +224,51 @@ def _header_value(header: dict[str, str], key: str, kind, path):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a `.danc` file. Each tensor is read straight into the skeleton the
+    header describes, so the load holds one copy of the parameters."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint (bad magic bytes)")
-    if len(blob) < 12:
-        raise ValueError(f"{path}: truncated checkpoint ({len(blob)} bytes, "
-                         f"inside the 12-byte preamble)")
-    version = struct.unpack("<I", blob[4:8])[0]
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    header_len = struct.unpack("<I", blob[8:12])[0]
-    if 12 + header_len > len(blob):
-        raise ValueError(f"{path}: header length {header_len} points past the end "
-                         f"of the {len(blob)}-byte file")
-    # A malformed line cannot supply a key; _header_value reports the key.
-    header = dict(line.partition("=")[::2]
-                  for line in blob[12:12 + header_len].decode(errors="replace").splitlines())
-    arch_kw, stft_kw, run_state, adam_kw = (
-        {f.name: _header_value(header, prefix + f.name, f.type, path) for f in flds}
-        for prefix, flds in _HEADER)
+        file_size = os.fstat(fh.fileno()).st_size
+        preamble = fh.read(12)
+        if preamble[:4] != CHECKPOINT_MAGIC:
+            raise ValueError(f"{path}: not a checkpoint (bad magic bytes)")
+        if len(preamble) < 12:
+            raise ValueError(f"{path}: truncated checkpoint ({file_size} bytes, "
+                             f"inside the 12-byte preamble)")
+        version = struct.unpack("<I", preamble[4:8])[0]
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        header_len = struct.unpack("<I", preamble[8:12])[0]
+        if 12 + header_len > file_size:
+            raise ValueError(f"{path}: header length {header_len} points past the end "
+                             f"of the {file_size}-byte file")
+        # A malformed line cannot supply a key; _header_value reports the key.
+        header = dict(line.partition("=")[::2]
+                      for line in fh.read(header_len).decode(errors="replace").splitlines())
+        arch_kw, stft_kw, run_state, adam_kw = (
+            {f.name: _header_value(header, prefix + f.name, f.type, path) for f in flds}
+            for prefix, flds in _HEADER)
 
-    # A skeleton of the header's shapes, filled in _tensor_stream order.
-    try:
-        arch = ArchSpec(**arch_kw)
-        params = ModelParams(arch, {name: np.empty(shape)
-                                    for name, shape in tensor_shapes(arch).items()})
-        ckpt = Checkpoint(params, replace(AdamState.zeros(params), **adam_kw),
-                          StftConfig(**stft_kw), **run_state)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    stream = _tensor_stream(ckpt)
-    size = 12 + header_len + sum(t.nbytes for t in stream)
-    if len(blob) < size:
-        raise ValueError(f"{path}: truncated checkpoint ({len(blob)} of {size} bytes)")
-    if len(blob) > size:
-        raise ValueError(f"{path}: {len(blob) - size} trailing bytes")
-    offset = 12 + header_len
-    for tensor in stream:
-        tensor[...] = np.frombuffer(blob, "<f8", tensor.size, offset).reshape(tensor.shape)
-        offset += tensor.nbytes
+        # A skeleton of the header's shapes, filled in _tensor_stream order.
+        try:
+            arch = ArchSpec(**arch_kw)
+            params = ModelParams(arch, {name: np.empty(shape)
+                                        for name, shape in tensor_shapes(arch).items()})
+            ckpt = Checkpoint(params, replace(AdamState.zeros(params), **adam_kw),
+                              StftConfig(**stft_kw), **run_state)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        stream = _tensor_stream(ckpt)
+        size = 12 + header_len + sum(t.nbytes for t in stream)
+        if file_size < size:
+            raise ValueError(f"{path}: truncated checkpoint ({file_size} of {size} bytes)")
+        if file_size > size:
+            raise ValueError(f"{path}: {file_size - size} trailing bytes")
+        for tensor in stream:
+            if fh.readinto(memoryview(tensor).cast("B")) != tensor.nbytes:
+                raise ValueError(f"{path}: truncated checkpoint (the file shrank "
+                                 f"while it was read)")
+            if sys.byteorder == "big":  # the file is little-endian float64
+                tensor.byteswap(inplace=True)
     return ckpt
 
 

@@ -5,14 +5,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
+from danet import clustering
 from danet.clustering import (
+    EM_MAX_ITER,
+    EM_TOL,
     KMEANS_RESTARTS,
     LL_SLACK,
     GmmModel,
+    KMeansResult,
     _e_step,
     _kmeans_pp_seed,
     _lloyd,
@@ -422,3 +426,201 @@ class TestClusterAttractors:
     def test_unknown_algo_rejected(self):
         with pytest.raises(ValueError, match="algorithm"):
             cluster_attractors(np.ones((2, 4)), 1, algo="dbscan")
+
+
+# Frozen copies of the allocating k-means and EM loops that the per-fit
+# workspaces replaced: a new (n, k) or (k, dim, n) temporary for every
+# operation, np.argmin, a one-hot matrix by fancy indexing and np.allclose.
+# The workspaces must reproduce every field they return bit for bit.
+def frozen_squared_distances(points, centers, point_sq):
+    d2 = (point_sq[:, None]
+          + np.sum(centers * centers, axis=1)[None, :]
+          - 2.0 * (points @ centers.T))
+    return np.maximum(d2, 0.0)
+
+
+def frozen_kmeans_pp_seed(points, k, rng, point_sq):
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = frozen_squared_distances(points, centers[:1], point_sq).ravel()
+    for c in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[c] = points[rng.integers(n)]
+        else:
+            centers[c] = points[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, frozen_squared_distances(points, centers[c:c + 1], point_sq).ravel())
+    return centers
+
+
+def frozen_lloyd(points, centers, max_iter, tol, point_sq=None):
+    if point_sq is None:
+        point_sq = np.sum(points * points, axis=1)
+    total_sq = float(point_sq.sum())
+    n, k = points.shape[0], centers.shape[0]
+    rows = np.arange(n)
+    history = []
+    for _ in range(max_iter):
+        d2 = frozen_squared_distances(points, centers, point_sq)
+        labels = np.argmin(d2, axis=1)
+        counts = np.bincount(labels, minlength=k)
+        if not counts.all():
+            _reseed_empty(labels, d2[rows, labels], k)
+            counts = np.bincount(labels, minlength=k)
+        one_hot = np.zeros((n, k))
+        one_hot[rows, labels] = 1.0
+        new_centers = one_hot.T @ points / counts[:, None]
+        history.append(max(total_sq - float(counts @ np.sum(new_centers ** 2, axis=1)), 0.0))
+        converged = np.allclose(new_centers, centers, rtol=0, atol=tol)
+        centers = new_centers
+        if converged:
+            break
+    centers = np.stack([points[labels == c].mean(axis=0) for c in range(k)])
+    history[-1] = float(np.sum((points - centers[labels]) ** 2))
+    return centers, labels, history[-1], history
+
+
+def frozen_kmeans(points, k, seed=0):
+    point_sq = np.sum(points * points, axis=1)
+    best = None
+    for r in range(KMEANS_RESTARTS):
+        rng = np.random.default_rng([seed, r])
+        centers0 = frozen_kmeans_pp_seed(points, k, rng, point_sq)
+        centers, labels, inertia, history = frozen_lloyd(points, centers0, 100, 1e-10, point_sq)
+        if best is None or inertia < best.inertia:
+            best = KMeansResult(centers, labels, inertia, history)
+    return best
+
+
+def frozen_e_step(points, model):
+    chol = np.linalg.cholesky(model.covariances)
+    inv_chol = np.linalg.inv(chol)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    z = inv_chol @ (points.T - model.means[:, :, None])
+    log_dens = (np.log(model.weights) - 0.5 * np.einsum("kdn,kdn->nk", z, z)
+                - 0.5 * (points.shape[1] * np.log(2.0 * np.pi) + logdet))
+    top = log_dens.max(axis=1, keepdims=True)
+    lse = top[:, 0] + np.log(np.sum(np.exp(log_dens - top), axis=1))
+    return log_dens - lse[:, None], lse, inv_chol, logdet
+
+
+def frozen_moments(points, resp):
+    mass = resp.sum(axis=0) + 1e-300
+    means = (resp.T @ points) / mass[:, None]
+    centred = points.T - means[:, :, None]
+    scatter = (centred * resp.T[:, None, :]) @ centred.transpose(0, 2, 1)
+    return mass, means, 0.5 * (scatter + scatter.transpose(0, 2, 1))
+
+
+def frozen_gmm_fit(points, k, max_iter=EM_MAX_ITER, tol=EM_TOL, seed=0):
+    """The EM loop, with `converged` read off the history as the loop's
+    stopping rule makes it: the last gain fell below tol."""
+    n, dim = points.shape
+    reg = default_regularization(points)
+    hard = frozen_kmeans(points, k, seed=seed).assignments[:, None] == np.arange(k)
+    mass, means, scatter = frozen_moments(points, hard.astype(np.float64))
+    strength, scale = n / k, scatter.sum(axis=0) / n + 2.0 * reg * np.eye(dim)
+    history, prev, done = [], -np.inf, max_iter <= 0
+    while True:
+        model = GmmModel(mass / mass.sum(), means,
+                         (scatter + strength * scale) / (mass + strength)[:, None, None],
+                         -np.inf, history)
+        log_resp, lse, inv_chol, logdet = frozen_e_step(points, model)
+        if done:
+            model.log_likelihood = float(np.mean(lse))
+            model.converged = len(history) >= 2 and history[-1] - history[-2] < tol
+            return model
+        trace = np.sum((inv_chol @ scale) * inv_chol)
+        objective = float(np.mean(lse)) - 0.5 * strength / n * float(np.sum(logdet) + trace)
+        history.append(objective)
+        mass, means, scatter = frozen_moments(points, np.exp(log_resp))
+        done = len(history) == max_iter or (objective - prev < tol and np.isfinite(prev))
+        prev = objective
+
+
+def assert_fields_equal(got, want):
+    for name in want.__dataclass_fields__:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def assert_fits_bit_equal(pts, k, seed, max_iter=EM_MAX_ITER):
+    assert_fields_equal(kmeans(pts, k, seed=seed), frozen_kmeans(pts, k, seed=seed))
+    assert_fields_equal(gmm_fit(pts, k, max_iter=max_iter, seed=seed),
+                        frozen_gmm_fit(pts, k, max_iter=max_iter, seed=seed))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(n=st.integers(1, 150), dim=st.integers(1, 6), k=st.integers(1, 4),
+       n_distinct=st.integers(1, 150), order=st.sampled_from("CF"),
+       max_iter=st.sampled_from([0, 1, 2, EM_MAX_ITER]), seed=st.integers(0, 2**32 - 1))
+@example(n=40, dim=3, k=1, n_distinct=40, order="C", max_iter=EM_MAX_ITER, seed=1)
+@example(n=4, dim=2, k=4, n_distinct=4, order="F", max_iter=EM_MAX_ITER, seed=2)
+@example(n=30, dim=2, k=3, n_distinct=2, order="C", max_iter=EM_MAX_ITER, seed=3)
+@example(n=50, dim=4, k=2, n_distinct=50, order="F", max_iter=0, seed=4)
+def test_workspace_fits_equal_allocating_loops_bitwise(n, dim, k, n_distinct, order,
+                                                      max_iter, seed):
+    # Repeats among the n points (n_distinct sites) start clusters empty and
+    # force `_reseed_empty`; k is drawn up to n itself. C- and F-ordered
+    # points take different summation orders in the loops alike. The
+    # examples pin k = 1, n == k, three clusters on two sites and max_iter=0.
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    sites = rng.normal(size=(n_distinct, dim)) * rng.uniform(1e-2, 10.0, size=dim)
+    pts = np.asarray(sites[rng.integers(n_distinct, size=n)], order=order)
+    assert_fits_bit_equal(pts, k, seed % 7, max_iter)
+
+    init = pts[rng.integers(n, size=k)]
+    if k > 1 and seed % 2:
+        init[1:] = 50.0 * np.arange(1, k)[:, None] + np.zeros(dim)  # centers that lose every point
+    got, want = _lloyd(pts, init.copy(), 100, 1e-10), frozen_lloyd(pts, init.copy(), 100, 1e-10)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("order", "CF")
+def test_workspace_fits_equal_allocating_loops_at_benchmark_size(order):
+    # One draw the size of a benchmark mixture's embeddings: 66 frames x 129
+    # bins of K = 10, two speakers in unequal, anisotropic clouds.
+    rng = np.random.default_rng(70)
+    n, dim = 66 * 129, 10
+    pts = rng.normal(size=(n, dim)) * rng.uniform(0.2, 2.0, size=dim)
+    pts[: n // 3] += rng.normal(size=dim) * 3.0
+    pts = np.asarray(pts, order=order)
+    for k in (2, 3):
+        assert_fits_bit_equal(pts, k, seed=0)
+
+
+def test_gmm_seeds_through_the_module_kmeans(monkeypatch):
+    # Callers that wrap `danet.clustering.kmeans` (the benchmark's nested
+    # span) see the one k-means run that initialises EM.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kmeans(*args, **kwargs)
+
+    monkeypatch.setattr(clustering, "kmeans", counted)
+    pts, _ = two_blobs(np.random.default_rng(71))
+    gmm_fit(pts, 2, seed=3)
+    assert len(calls) == 1
+
+
+class TestConverged:
+    def test_true_when_the_gain_falls_below_tol(self):
+        pts, _ = two_blobs(np.random.default_rng(72))
+        model = gmm_fit(pts, 2, seed=0)
+        assert model.converged
+        assert len(model.ll_history) < EM_MAX_ITER
+        assert model.ll_history[-1] - model.ll_history[-2] < EM_TOL
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2])
+    def test_false_at_the_iteration_cap(self, max_iter):
+        pts, _ = two_blobs(np.random.default_rng(73))
+        model = gmm_fit(pts, 2, max_iter=max_iter, seed=0, tol=-np.inf)
+        assert len(model.ll_history) == max_iter
+        assert not model.converged
+
+    def test_positional_construction_defaults_to_false(self):
+        model = GmmModel(np.ones(1), np.zeros((1, 2)), np.eye(2)[None], 0.0, [])
+        assert model.converged is False

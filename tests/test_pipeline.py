@@ -1,6 +1,7 @@
 """Training-loop machinery tests: Adam, LR schedule, checkpoints, separation."""
 
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -308,6 +309,37 @@ class TestCheckpointIO:
             save_checkpoint(self.fresh(seed=4), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.danc"]
+
+    def test_load_holds_one_copy_of_the_file(self, tmp_path):
+        # Each tensor is read into its own array: no whole-file buffer on top.
+        params = init_params(ArchSpec(input_dim=129, num_layers=2, hidden_per_direction=64,
+                                      embed_dim=10), 0)
+        path = tmp_path / "desk.danc"
+        save_checkpoint(Checkpoint(params=params, adam=AdamState.zeros(params),
+                                   stft_cfg=StftConfig(), sample_rate=8000, epoch=1,
+                                   best_val_loss=1.0, lr=1e-3), path)
+        tracemalloc.start()
+        try:
+            back = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * path.stat().st_size, (peak, path.stat().st_size)
+        for name in params.tensors:
+            assert np.array_equal(back.params.tensors[name], params.tensors[name])
+
+    def test_file_shrinking_during_the_load_named(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.danc"
+        save_checkpoint(self.fresh(), path)
+        real_stream = pipeline._tensor_stream
+
+        def stream_then_shrink(ckpt):
+            os.truncate(path, 100)
+            return real_stream(ckpt)
+
+        monkeypatch.setattr(pipeline, "_tensor_stream", stream_then_shrink)
+        with pytest.raises(ValueError, match=r"c\.danc: truncated checkpoint \(the file shrank"):
+            load_checkpoint(path)
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "c.danc"
