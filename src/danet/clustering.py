@@ -1,6 +1,10 @@
 """Inference-time clustering: k-means (Lloyd, ++ seeding) and full-covariance
 GMM fitted by MAP-EM, its covariances shrunk towards the pooled k-means
-covariance. Cluster centers become the attractors at test time."""
+covariance. Cluster centers become the attractors at test time.
+
+Every fit copies its (n, dim) points once into a C-contiguous (dim, n)
+array X (feature-major), so each pass over the points walks n contiguous
+values, and no result depends on the layout of the given points."""
 
 from dataclasses import dataclass, field
 
@@ -31,42 +35,49 @@ class GmmModel:
     converged: bool = False      # EM stopped on a gain below tol, not at max_iter
 
 
-def _squared_distances(points: np.ndarray, centers: np.ndarray, point_sq: np.ndarray,
+def _feature_major(points: np.ndarray) -> np.ndarray:
+    """The (n, dim) points as one C-contiguous (dim, n) array X: every pass
+    of Lloyd and EM then walks n contiguous values per dimension."""
+    return np.ascontiguousarray(points.T)
+
+
+def _check_tol(tol: float) -> None:
+    if not tol >= 0:
+        raise ValueError(f"tol must be a non-negative number, got {tol}")
+
+
+def _squared_distances(X: np.ndarray, centers: np.ndarray, point_sq: np.ndarray,
                        out: np.ndarray | None = None,
                        product: np.ndarray | None = None) -> np.ndarray:
-    """Squared distances (n, k) from every point to every center, floored at 0.
+    """Squared distances (k, n) from every center to every point, floored at 0.
 
-    point_sq is np.sum(points * points, axis=1), computed once per fit.
-    Scaling the (n, k) product by 2 rather than the points is exact for
-    normal floats and makes no (n, dim) temporary. `out` and `product`,
-    C-ordered (n, k) buffers, take the distances and the GEMM when given.
-    Each column of `out` is assembled on its own, so the loop runs over n
-    and not over k.
+    X holds the points as columns and point_sq is np.sum(X * X, axis=0),
+    computed once per fit. Scaling the (k, n) product by 2 rather than the
+    points is exact for normal floats and makes no (dim, n) temporary.
+    `out` and `product`, (k, n) buffers, take the distances and the GEMM
+    when given.
     """
-    product = np.matmul(points, centers.T, out=product)
+    product = np.matmul(centers, X, out=product)
     product *= 2.0
     center_sq = np.sum(centers * centers, axis=1)
-    if out is None:
-        out = np.empty(product.shape)
-    for c in range(centers.shape[0]):
-        np.add(point_sq, center_sq[c], out=out[:, c])
+    out = np.add(point_sq, center_sq[:, None], out=out)
     out -= product
     return np.maximum(out, 0.0, out=out)
 
 
-def _kmeans_pp_seed(points: np.ndarray, k: int, rng: np.random.Generator,
+def _kmeans_pp_seed(X: np.ndarray, k: int, rng: np.random.Generator,
                     point_sq: np.ndarray) -> np.ndarray:
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = _squared_distances(points, centers[:1], point_sq).ravel()
+    n = X.shape[1]
+    centers = np.empty((k, X.shape[0]))
+    centers[0] = X[:, rng.integers(n)]
+    d2 = _squared_distances(X, centers[:1], point_sq)[0]
     for c in range(1, k):
         total = d2.sum()
         if total <= 0:
-            centers[c] = points[rng.integers(n)]
+            centers[c] = X[:, rng.integers(n)]
         else:
-            centers[c] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, _squared_distances(points, centers[c:c + 1], point_sq).ravel())
+            centers[c] = X[:, rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, _squared_distances(X, centers[c:c + 1], point_sq)[0])
     return centers
 
 
@@ -87,62 +98,96 @@ def _reseed_empty(labels: np.ndarray, own_d2: np.ndarray, k: int) -> None:
 
 def _nearest(d2: np.ndarray, labels: np.ndarray, own: np.ndarray,
              closer: np.ndarray) -> None:
-    """Write each row's argmin of d2 into labels and its minimum into own.
+    """Write each column's argmin of the (k, n) d2 into labels and its
+    minimum into own.
 
-    One strict-< pass per column, over all n rows: a tie keeps the earlier
-    column, which is np.argmin's first-minimum rule. closer is an (n,) bool
+    One strict-< pass per row, over all n points: a tie keeps the earlier
+    center, which is np.argmin's first-minimum rule. closer is an (n,) bool
     buffer. The distances are finite, so np.minimum takes the same values.
     """
     labels.fill(0)
-    own[...] = d2[:, 0]
-    for c in range(1, d2.shape[1]):
-        np.less(d2[:, c], own, out=closer)
+    own[...] = d2[0]
+    for c in range(1, d2.shape[0]):
+        np.less(d2[c], own, out=closer)
         np.copyto(labels, c, where=closer)
-        np.minimum(own, d2[:, c], out=own)
+        np.minimum(own, d2[c], out=own)
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int, tol: float,
-           point_sq: np.ndarray | None = None):
-    """Lloyd iterations until no center moves more than tol (or max_iter).
+class _LloydWork:
+    """The buffers that every restart of one `kmeans` call writes into:
+    (k, n) distances and distance GEMM, the (n, k) one-hot matrix of the
+    means GEMM, the (n,) labels, own distances and comparison mask, and the
+    (n, dim) residual of the exact inertia."""
 
-    An iteration costs one distance GEMM, a strict-< argmin over the k
-    columns (`_nearest`, which also gives the own distances that
-    `_reseed_empty` needs), one bincount and one GEMM for the means. The
-    fit allocates its buffers once; each is C-ordered like the temporary it
-    replaces, so both GEMMs sum in the same order. An iteration's history
-    entry comes from the per-cluster statistics,
-    sum ||x||^2 - sum_c n_c ||mu_c||^2 clamped at 0. The GEMM may sum in
-    another order than a mean does, and the statistics lose digits when
-    the points sit far from the origin, so the returned centers and inertia
-    (also the last history entry) are recomputed once from the final labels
-    as plain means and a plain sum: restarts compare exact inertias.
+    def __init__(self, dim: int, n: int, k: int):
+        self.d2, self.product = np.empty((k, n)), np.empty((k, n))
+        self.eye, self.one_hot = np.eye(k), np.empty((n, k))
+        self.labels, self.own = np.empty(n, dtype=np.intp), np.empty(n)
+        self.closer = np.empty(n, dtype=bool)
+        self.residual = np.empty((n, dim))
+
+
+def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int, tol: float,
+           point_sq: np.ndarray, work: _LloydWork) -> tuple[np.ndarray, list[float]]:
+    """Lloyd iterations on the (dim, n) points X until no center moves more
+    than tol (or max_iter); returns the final labels and the history.
+
+    An iteration costs one (k, dim) x (dim, n) distance GEMM, a strict-<
+    argmin over the k rows (`_nearest`, which also gives the own distances
+    that `_reseed_empty` needs), one bincount and one GEMM for the means,
+    all written into `work`. Every pass walks n contiguous values. The
+    means GEMM multiplies a C-ordered (n, k) one-hot matrix, transposed,
+    by X transposed: the call the (n, dim) loop made on F-ordered points,
+    so the centers of every iteration, and the labels they lead to, are
+    the bits of that loop. An iteration's history entry comes from the
+    per-cluster statistics, sum ||x||^2 - sum_c n_c ||mu_c||^2 clamped at 0;
+    `_finish` replaces the last one by the exact inertia.
     """
-    if point_sq is None:
-        point_sq = np.sum(points * points, axis=1)
     total_sq = float(point_sq.sum())
-    n, k = points.shape[0], centers.shape[0]
-    d2, product, one_hot = np.empty((n, k)), np.empty((n, k)), np.empty((n, k))
-    labels, own, closer = np.empty(n, dtype=np.intp), np.empty(n), np.empty(n, dtype=bool)
+    k = centers.shape[0]
+    labels = work.labels
     history = []
     for _ in range(max_iter):
-        _squared_distances(points, centers, point_sq, d2, product)
-        _nearest(d2, labels, own, closer)
+        _squared_distances(X, centers, point_sq, work.d2, work.product)
+        _nearest(work.d2, labels, work.own, work.closer)
         counts = np.bincount(labels, minlength=k)
         if not counts.all():
-            _reseed_empty(labels, own, k)
+            _reseed_empty(labels, work.own, k)
             counts = np.bincount(labels, minlength=k)
-        for c in range(k):
-            np.equal(labels, c, out=one_hot[:, c])
-        new_centers = one_hot.T @ points / counts[:, None]
+        np.take(work.eye, labels, axis=0, out=work.one_hot, mode="clip")
+        new_centers = work.one_hot.T @ X.T / counts[:, None]
         history.append(max(total_sq - float(counts @ np.sum(new_centers ** 2, axis=1)), 0.0))
         converged = np.max(np.abs(new_centers - centers)) <= tol
         centers = new_centers
         if converged:
             break
-    centers = np.stack([points[labels == c].mean(axis=0) for c in range(k)])
-    residual = points - centers[labels]
+    return labels.copy(), history
+
+
+def _finish(X: np.ndarray, labels: np.ndarray, history: list[float],
+            work: _LloydWork) -> np.ndarray:
+    """A Lloyd run's centers and exact inertia, recomputed from its labels.
+
+    The GEMM may sum in another order than a mean does, and the statistics
+    behind the history lose digits when the points sit far from the origin.
+    So each center is the plain mean of its members, points[labels == c]
+    .mean(axis=0) on (n, dim) points, and the inertia squares and sums the
+    C-ordered (n, dim) residual, as a plain sum over those points does. The
+    inertia becomes the last history entry; restarts compare these values.
+    numpy sums the members of a mean in point order when dim > 1, which is
+    np.bincount(labels, weights=X[d]) for every coordinate d at once; a
+    single coordinate it sums pairwise, so there the mean itself is taken.
+    """
+    k = work.eye.shape[0]
+    if X.shape[0] == 1:
+        centers = np.stack([X.T[labels == c].mean(axis=0) for c in range(k)])
+    else:
+        centers = np.stack([np.bincount(labels, weights=row, minlength=k) for row in X], axis=1)
+        centers /= np.bincount(labels, minlength=k)[:, None]
+    residual = np.take(centers, labels, axis=0, out=work.residual, mode="clip")
+    np.subtract(X.T, residual, out=residual)
     history[-1] = float(np.sum(np.square(residual, out=residual)))
-    return centers, labels, history[-1], history
+    return centers
 
 
 def _as_points(points) -> np.ndarray:
@@ -157,7 +202,17 @@ def _as_points(points) -> np.ndarray:
 
 def kmeans(points: np.ndarray, k: int, max_iter: int = 100, tol: float = 1e-10,
            restarts: int = KMEANS_RESTARTS, seed: int = 0) -> KMeansResult:
-    """Best-of-restarts Lloyd iterations from k-means++ seeding."""
+    """Best-of-restarts Lloyd iterations from k-means++ seeding.
+
+    The (n, dim) points are copied once into a C-contiguous (dim, n) array,
+    and every restart runs on it in one `_LloydWork`, so no field of the
+    result depends on the layout of the given points. The centers are the
+    plain means of the final clusters and the inertia a plain sum
+    (`_finish`), bit for bit as a direct evaluation gives them. A restart
+    that ends on the labels of an earlier one skips `_finish`: its exact
+    inertia is the same, so it cannot win the strict < that picks the first
+    best restart.
+    """
     points = _as_points(points)
     n = points.shape[0]
     if not 1 <= k <= n:
@@ -165,65 +220,80 @@ def kmeans(points: np.ndarray, k: int, max_iter: int = 100, tol: float = 1e-10,
     for name, value in (("restarts", restarts), ("max_iter", max_iter)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    _check_tol(tol)
 
-    point_sq = np.sum(points * points, axis=1)
-    best = None
+    X = _feature_major(points)
+    point_sq = np.sum(X * X, axis=0)
+    work = _LloydWork(X.shape[0], n, k)
+    best, finished = None, []
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
-        centers0 = _kmeans_pp_seed(points, k, rng, point_sq)
-        centers, labels, inertia, history = _lloyd(points, centers0, max_iter, tol, point_sq)
-        if best is None or inertia < best.inertia:
-            best = KMeansResult(centers, labels, inertia, history)
+        centers0 = _kmeans_pp_seed(X, k, rng, point_sq)
+        labels, history = _lloyd(X, centers0, max_iter, tol, point_sq, work)
+        if any(np.array_equal(labels, seen) for seen in finished):
+            continue
+        finished.append(labels)
+        centers = _finish(X, labels, history, work)
+        if best is None or history[-1] < best.inertia:
+            best = KMeansResult(centers, labels, history[-1], history)
     return best
 
 
-def _centred(points: np.ndarray, means: np.ndarray, work: dict) -> np.ndarray:
-    """points.T - means[:, :, None], (k, dim, n), kept in work["centred"]. A
-    second call with the same means object (the M-step's means reaching the
-    next E-step) returns the stored values without recomputing them."""
-    if work.get("centred_of") is not means:
-        work["centred"] = np.subtract(points.T, means[:, :, None], out=work.get("centred"))
-        work["centred_of"] = means
-    return work["centred"]
+class _EmWork:
+    """The buffers of one EM fit on (dim, n) points: the (k, dim, n) centred
+    points and a (k, dim, n) scratch array (whitened points in the E-step,
+    weighted points in the M-step), the (k, n) log-densities, which become
+    the log responsibilities and then the responsibilities, and their
+    shifted copy, and the (n,) maxima and log-sum-exps."""
+
+    def __init__(self, k: int, dim: int, n: int):
+        self.centred, self.scratch = np.empty((k, dim, n)), np.empty((k, dim, n))
+        self.centred_of = None
+        self.log_dens, self.shifted = np.empty((k, n)), np.empty((k, n))
+        self.top, self.lse = np.empty(n), np.empty(n)
 
 
-def _e_step(points: np.ndarray, model: GmmModel, work: dict | None = None):
-    """Log responsibilities (n, k) and per-point log-likelihoods (n,), plus
-    inv(L) and log det cov from the one Cholesky factor L of each covariance
-    (stacked over components), which the prior's terms reuse.
+def _centred(X: np.ndarray, means: np.ndarray, work: _EmWork) -> np.ndarray:
+    """X - means[:, :, None], (k, dim, n), kept in work.centred. A second
+    call with the same means object (the M-step's means reaching the next
+    E-step) returns the stored values without recomputing them."""
+    if work.centred_of is not means:
+        np.subtract(X, means[:, :, None], out=work.centred)
+        work.centred_of = means
+    return work.centred
 
-    work holds the buffers of one EM fit by name (see `gmm_fit`); the
-    returned log responsibilities and log-likelihoods live in two of them
-    until the next E-step. Without work every buffer is fresh.
-    """
-    work = {} if work is None else work
+
+def _e_step(X: np.ndarray, model: GmmModel, work: _EmWork):
+    """Log responsibilities (k, n) and per-point log-likelihoods (n,) of the
+    (dim, n) points X, plus inv(L) and log det cov from the one Cholesky
+    factor L of each covariance (stacked over components), which the
+    prior's terms reuse. The two returned arrays live in `work` until the
+    next E-step."""
     chol = np.linalg.cholesky(model.covariances)
     inv_chol = np.linalg.inv(chol)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    z = work["z"] = np.matmul(inv_chol, _centred(points, model.means, work), out=work.get("z"))
+    z = np.matmul(inv_chol, _centred(X, model.means, work), out=work.scratch)
     # log w - 0.5 * |z|^2 - 0.5 * (dim log 2 pi + log det), in that order.
-    log_dens = work["log_dens"] = np.einsum("kdn,kdn->nk", z, z, out=work.get("log_dens"))
+    log_dens = np.einsum("kdn,kdn->kn", z, z, out=work.log_dens)
     log_dens *= 0.5
-    np.subtract(np.log(model.weights), log_dens, out=log_dens)
-    log_dens -= 0.5 * (points.shape[1] * np.log(2.0 * np.pi) + logdet)
-    top = work["top"] = np.max(log_dens, axis=1, out=work.get("top"))
-    shifted = work["shifted"] = np.subtract(log_dens, top[:, None], out=work.get("shifted"))
-    lse = work["lse"] = np.sum(np.exp(shifted, out=shifted), axis=1, out=work.get("lse"))
+    np.subtract(np.log(model.weights)[:, None], log_dens, out=log_dens)
+    log_dens -= 0.5 * (X.shape[0] * np.log(2.0 * np.pi) + logdet)[:, None]
+    top = np.max(log_dens, axis=0, out=work.top)
+    shifted = np.subtract(log_dens, top, out=work.shifted)
+    lse = np.sum(np.exp(shifted, out=shifted), axis=0, out=work.lse)
     np.log(lse, out=lse)
     lse += top
-    log_dens -= lse[:, None]
+    log_dens -= lse
     return log_dens, lse, inv_chol, logdet
 
 
-def _moments(points: np.ndarray, resp: np.ndarray, work: dict | None = None):
+def _moments(X: np.ndarray, resp: np.ndarray, work: _EmWork):
     """Mass (k,), means (k, dim) and symmetrised scatter matrices (k, dim, dim)
-    of the points weighted by each column of resp, with `_e_step`'s work."""
-    work = {} if work is None else work
-    mass = resp.sum(axis=0) + 1e-300
-    means = (resp.T @ points) / mass[:, None]
-    centred = _centred(points, means, work)
-    weighted = work["weighted"] = np.multiply(centred, resp.T[:, None, :],
-                                              out=work.get("weighted"))
+    of the (dim, n) points weighted by each row of the (k, n) resp."""
+    mass = resp.sum(axis=1) + 1e-300
+    means = (resp @ X.T) / mass[:, None]
+    centred = _centred(X, means, work)
+    weighted = np.multiply(centred, resp[:, None, :], out=work.scratch)
     scatter = weighted @ centred.transpose(0, 2, 1)
     return mass, means, 0.5 * (scatter + scatter.transpose(0, 2, 1))
 
@@ -255,40 +325,43 @@ def gmm_fit(points: np.ndarray, k: int, max_iter: int = EM_MAX_ITER,
     its gain drops below tol, and it is checked to be non-decreasing (1e-9
     slack). `log_likelihood` is the plain mean log-likelihood of the final
     model. `converged` is True when EM stopped because its gain fell below
-    tol, and False when it stopped at max_iter.
+    tol, and False when it stopped at max_iter (max_iter=0 returns the
+    k-means initialisation).
 
-    The loop runs in one workspace per fit, a dict of the (k, dim, n) and
-    (n, k) arrays of `_e_step` and `_moments`. The first step that needs a
-    buffer makes it with the expression an allocating step evaluates
-    (`out=None`), and later steps write into it with `out=`. It so keeps
-    that temporary's layout, from which OpenBLAS and numpy's reductions
-    choose their summation order: the fit is bit-identical to allocating
-    steps, for C- and F-ordered points. The M-step's centred points serve
-    the next E-step, whose means are the same array. The k-means
-    partition's moments stay outside the workspace: its one-hot
-    responsibilities are C-ordered, the E-step's F-ordered.
+    EM runs on one C-contiguous (dim, n) copy of the points, in one
+    `_EmWork` made for the fit: the centred, whitened and weighted points
+    are (k, dim, n) and the log-densities and responsibilities (k, n), so
+    every elementwise pass and every reduction over the components walks n
+    contiguous values, and the fit does not depend on the layout of the
+    given points. The M-step's centred points serve the next E-step, whose
+    means are the same array.
     """
     points = _as_points(points)
     n, dim = points.shape
     if k > n:
         raise ValueError(f"k={k} exceeds the {n} available points")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    _check_tol(tol)
+    X = _feature_major(points)
     if reg is None:
-        reg = default_regularization(points)
+        reg = default_regularization(X.T)
     if reg <= 0:
         raise ValueError(f"reg must be positive, got {reg}")
 
-    hard = kmeans(points, k, seed=seed).assignments[:, None] == np.arange(k)
-    mass, means, scatter = _moments(points, hard.astype(np.float64))
+    labels = kmeans(points, k, seed=seed).assignments
+    work = _EmWork(k, dim, n)
+    hard = np.equal(labels, np.arange(k)[:, None]).astype(np.float64)
+    mass, means, scatter = _moments(X, hard, work)
     strength, scale = n / k, scatter.sum(axis=0) / n + 2.0 * reg * np.eye(dim)
 
-    work = {}
     history, prev, converged = [], -np.inf, False
-    done = max_iter <= 0
+    done = max_iter == 0
     while True:
         model = GmmModel(mass / mass.sum(), means,
                          (scatter + strength * scale) / (mass + strength)[:, None, None],
                          -np.inf, history, converged)
-        log_resp, lse, inv_chol, logdet = _e_step(points, model, work)
+        log_resp, lse, inv_chol, logdet = _e_step(X, model, work)
         if done:
             model.log_likelihood = float(np.mean(lse))
             return model
@@ -298,16 +371,21 @@ def gmm_fit(points: np.ndarray, k: int, max_iter: int = EM_MAX_ITER,
             raise FloatingPointError(
                 f"EM objective decreased: {prev} -> {objective}")
         history.append(objective)
-        mass, means, scatter = _moments(points, np.exp(log_resp, out=log_resp), work)
+        mass, means, scatter = _moments(X, np.exp(log_resp, out=log_resp), work)
         converged = bool(objective - prev < tol and np.isfinite(prev))
         done = converged or len(history) == max_iter
         prev = objective
 
 
 def gmm_posterior(model: GmmModel, points: np.ndarray) -> np.ndarray:
-    """Responsibility matrix (rows on the simplex), log-sum-exp stabilized."""
+    """Responsibility matrix (n, k) (rows on the simplex), log-sum-exp stabilized."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return np.exp(_e_step(points, model)[0])
+    k, dim = model.means.shape
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise ValueError(f"points must be (n, {dim}) for a model of dimension {dim}, "
+                         f"got {points.shape}")
+    log_resp = _e_step(_feature_major(points), model, _EmWork(k, dim, points.shape[0]))[0]
+    return np.exp(log_resp, out=log_resp).T
 
 
 def cluster_attractors(V: np.ndarray, n_speakers: int, algo: str = "gmm",

@@ -2,6 +2,7 @@
 
 import itertools
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,8 +19,11 @@ from danet.clustering import (
     GmmModel,
     KMeansResult,
     _e_step,
+    _EmWork,
+    _finish,
     _kmeans_pp_seed,
     _lloyd,
+    _LloydWork,
     _reseed_empty,
     _squared_distances,
     cluster_attractors,
@@ -36,13 +40,30 @@ def two_blobs(rng, n_per=30, dim=2, sep=8.0, scale=0.5):
     return np.vstack([a, b]), np.array([0] * n_per + [1] * n_per)
 
 
+def feature_major(points):
+    """The (dim, n) points and their squared norms, as `kmeans` makes them."""
+    X = np.ascontiguousarray(points.T)
+    return X, np.sum(X * X, axis=0)
+
+
+def run_lloyd(points, centers, max_iter, tol):
+    """One restart of `kmeans` on (n, dim) points from the given centers:
+    Lloyd iterations and the exact final recompute. Returns the centers,
+    labels, inertia and history."""
+    X, point_sq = feature_major(points)
+    work = _LloydWork(X.shape[0], X.shape[1], centers.shape[0])
+    labels, history = _lloyd(X, centers, max_iter, tol, point_sq, work)
+    centers = _finish(X, labels, history, work)
+    return centers, labels, history[-1], history
+
+
 def reference_lloyd(points, centers, max_iter, tol):
     """Lloyd iterations with boolean-mask means and the full inertia sum at
     every iteration: the reference for `_lloyd`'s statistics-based loop."""
-    point_sq = np.sum(points * points, axis=1)
+    X, point_sq = feature_major(points)
     history = []
     for _ in range(max_iter):
-        d2 = _squared_distances(points, centers, point_sq)
+        d2 = _squared_distances(X, centers, point_sq).T
         labels = np.argmin(d2, axis=1)
         _reseed_empty(labels, d2[np.arange(points.shape[0]), labels], centers.shape[0])
         new_centers = np.stack([points[labels == c].mean(axis=0)
@@ -119,13 +140,11 @@ class TestKMeans:
     def test_two_empty_clusters_reseeded_from_distinct_points(self):
         # Both far centers lose every point in the first pass; each must take
         # its own point, or one stays empty and its center turns NaN.
-        from danet.clustering import _lloyd
-
         pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [10.0, 0.0]])
         init = np.array([[0.1, 0.0], [50.0, 50.0], [60.0, 60.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            centers, labels, _, _ = _lloyd(pts, init, max_iter=100, tol=1e-10)
+            centers, labels, _, _ = run_lloyd(pts, init, max_iter=100, tol=1e-10)
         assert np.all(np.isfinite(centers))
         assert sorted(np.bincount(labels, minlength=3)) == [1, 1, 2]
 
@@ -139,8 +158,8 @@ class TestKMeans:
         assert res.inertia == float(np.sum((pts - res.centers[res.assignments]) ** 2))
         assert res.inertia_history[-1] == res.inertia
 
-        point_sq = np.sum(pts * pts, axis=1)
-        runs = [reference_lloyd(pts, _kmeans_pp_seed(pts, 2, np.random.default_rng([0, r]),
+        X, point_sq = feature_major(pts)
+        runs = [reference_lloyd(pts, _kmeans_pp_seed(X, 2, np.random.default_rng([0, r]),
                                                      point_sq), 100, 1e-10)
                 for r in range(KMEANS_RESTARTS)]
         first_best = min(range(KMEANS_RESTARTS), key=lambda r: runs[r][2])
@@ -149,15 +168,30 @@ class TestKMeans:
         assert np.array_equal(res.centers, runs[first_best][0])
         assert res.inertia == runs[first_best][2]
 
-    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"max_iter": 0}, {"restarts": -1}],
-                             ids=["restarts=0", "max_iter=0", "restarts=-1"])
-    def test_bad_arguments_rejected_before_seeding(self, kwargs, monkeypatch):
+    @pytest.mark.parametrize("call, match", [
+        pytest.param(partial(kmeans, np.eye(3), 2, restarts=0), "restarts", id="restarts=0"),
+        pytest.param(partial(kmeans, np.eye(3), 2, max_iter=0), "max_iter", id="max_iter=0"),
+        pytest.param(partial(kmeans, np.eye(3), 2, restarts=-1), "restarts", id="restarts=-1"),
+        pytest.param(partial(kmeans, np.eye(3), 2, tol=np.nan), "tol", id="kmeans-tol=nan"),
+        pytest.param(partial(kmeans, np.eye(3), 2, tol=-1e-12), "tol", id="kmeans-tol<0"),
+        pytest.param(partial(gmm_fit, np.eye(3), 2, max_iter=-1), "max_iter",
+                     id="gmm_fit-max_iter=-1"),
+        pytest.param(partial(gmm_fit, np.eye(3), 2, tol=np.nan), "tol", id="gmm_fit-tol=nan"),
+        pytest.param(partial(gmm_fit, np.eye(3), 2, tol=-np.inf), "tol", id="gmm_fit-tol<0"),
+        pytest.param(partial(gmm_posterior, GmmModel(np.ones(1), np.zeros((1, 3)),
+                                                     np.eye(3)[None], 0.0), np.eye(2)),
+                     "dimension", id="gmm_posterior-dim"),
+    ])
+    def test_bad_arguments_rejected_before_seeding(self, call, match, monkeypatch):
+        # gmm_fit(max_iter=-1) used to return the k-means initialisation, a
+        # NaN or negative tol ran to the iteration caps, and points of another
+        # dimension than the model's failed as a numpy broadcast error.
         def no_draws(*args, **kw):
             raise AssertionError("random generator created before validation")
 
         monkeypatch.setattr(np.random, "default_rng", no_draws)
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
-            kmeans(np.eye(3), 2, **kwargs)
+        with pytest.raises(ValueError, match=match):
+            call()
 
     @pytest.mark.parametrize("fit", [kmeans, gmm_fit])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -290,7 +324,7 @@ def test_lloyd_matches_reference(n, dim, k, n_distinct, init, seed):
         init_centers[1:] = 50.0 * np.arange(1, k)[:, None] + np.zeros(dim)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        centers, labels, inertia, history = _lloyd(pts, init_centers.copy(), 100, 1e-10)
+        centers, labels, inertia, history = run_lloyd(pts, init_centers.copy(), 100, 1e-10)
     ref_centers, ref_labels, ref_inertia, ref_history = reference_lloyd(
         pts, init_centers.copy(), 100, 1e-10)
     assert np.array_equal(labels, ref_labels)
@@ -311,11 +345,11 @@ def test_e_step_matches_scipy_log_densities():
     model = GmmModel(weights / weights.sum(), rng.normal(size=(k, dim)) * 3,
                      np.stack(covs), 0.0)
     pts = rng.normal(size=(50, dim)) * 2
-    log_resp, lse, _, _ = _e_step(pts, model)
+    log_resp, lse, _, _ = _e_step(feature_major(pts)[0], model, _EmWork(k, dim, 50))
     expected = np.stack([np.log(model.weights[c])
                          + multivariate_normal.logpdf(pts, model.means[c], covs[c])
-                         for c in range(k)], axis=1)
-    assert np.allclose(log_resp + lse[:, None], expected, rtol=0, atol=1e-10)
+                         for c in range(k)])
+    assert np.allclose(log_resp + lse, expected, rtol=0, atol=1e-10)
 
 
 class TestGmmPosterior:
@@ -428,10 +462,13 @@ class TestClusterAttractors:
             cluster_attractors(np.ones((2, 4)), 1, algo="dbscan")
 
 
-# Frozen copies of the allocating k-means and EM loops that the per-fit
-# workspaces replaced: a new (n, k) or (k, dim, n) temporary for every
-# operation, np.argmin, a one-hot matrix by fancy indexing and np.allclose.
-# The workspaces must reproduce every field they return bit for bit.
+# Frozen copies of the allocating k-means and EM loops on (n, dim) points
+# that the feature-major fits replaced: a new (n, k) or (k, dim, n) temporary
+# for every operation, np.argmin, a one-hot matrix by fancy indexing and
+# np.allclose. The (dim, n) layout changes summation orders on purpose, so
+# k-means must keep its assignments, centers, inertia and iteration count
+# bit for bit (earlier history entries within 1e-12), and EM must keep its
+# iteration count and `converged`, with every other field within 1e-12.
 def frozen_squared_distances(points, centers, point_sq):
     d2 = (point_sq[:, None]
           + np.sum(centers * centers, axis=1)[None, :]
@@ -544,10 +581,40 @@ def assert_fields_equal(got, want):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
-def assert_fits_bit_equal(pts, k, seed, max_iter=EM_MAX_ITER):
-    assert_fields_equal(kmeans(pts, k, seed=seed), frozen_kmeans(pts, k, seed=seed))
-    assert_fields_equal(gmm_fit(pts, k, max_iter=max_iter, seed=seed),
-                        frozen_gmm_fit(pts, k, max_iter=max_iter, seed=seed))
+def assert_lloyd_equal(got, want):
+    """(centers, labels, inertia, history) of two Lloyd runs: bit-equal but
+    for the statistics-based history entries before the last."""
+    for name, a, b in zip(("centers", "labels", "inertia"), got, want):
+        assert np.array_equal(a, b), name
+    assert len(got[3]) == len(want[3])
+    assert got[3][-1] == want[3][-1]
+    np.testing.assert_allclose(got[3][:-1], want[3][:-1], rtol=1e-12, atol=0)
+
+
+def assert_kmeans_matches(got, want):
+    assert_lloyd_equal((got.centers, got.assignments, got.inertia, got.inertia_history),
+                       (want.centers, want.assignments, want.inertia, want.inertia_history))
+
+
+def assert_gmm_matches(got, want):
+    """The same iteration count and `converged`; every other field within
+    1e-12 of its largest magnitude (a covariance entry of a nearly empty
+    component can be 0 on one side and 1e-37 on the other)."""
+    assert len(got.ll_history) == len(want.ll_history)
+    assert got.converged == want.converged
+    for name in ("weights", "means", "covariances", "log_likelihood", "ll_history"):
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert a.shape == b.shape, name
+        assert np.all(np.abs(a - b) <= 1e-12 * np.max(np.abs(b), initial=0.0)), name
+
+
+def assert_fits_match(pts, k, seed, max_iter=EM_MAX_ITER, ref=None):
+    """The fits of pts against the frozen loops' fits of ref, by default
+    the F-ordered copy of pts, whose memory is the feature-major copy."""
+    ref = np.asfortranarray(pts) if ref is None else ref
+    assert_kmeans_matches(kmeans(pts, k, seed=seed), frozen_kmeans(ref, k, seed=seed))
+    assert_gmm_matches(gmm_fit(pts, k, max_iter=max_iter, seed=seed),
+                       frozen_gmm_fit(ref, k, max_iter=max_iter, seed=seed))
 
 
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
@@ -561,21 +628,23 @@ def assert_fits_bit_equal(pts, k, seed, max_iter=EM_MAX_ITER):
 def test_workspace_fits_equal_allocating_loops_bitwise(n, dim, k, n_distinct, order,
                                                       max_iter, seed):
     # Repeats among the n points (n_distinct sites) start clusters empty and
-    # force `_reseed_empty`; k is drawn up to n itself. C- and F-ordered
-    # points take different summation orders in the loops alike. The
-    # examples pin k = 1, n == k, three clusters on two sites and max_iter=0.
+    # force `_reseed_empty`; k is drawn up to n itself. The examples pin
+    # k = 1, n == k, three clusters on two sites and max_iter=0. The frozen
+    # loops run on the F-ordered copy, the memory of the feature-major one:
+    # on C-ordered points they sum in another order, and where k exceeds the
+    # distinct sites, rounding alone decides seeding draws and ties, so the
+    # frozen C and F loops can end on different partitions.
     k = min(k, n)
     rng = np.random.default_rng(seed)
     sites = rng.normal(size=(n_distinct, dim)) * rng.uniform(1e-2, 10.0, size=dim)
     pts = np.asarray(sites[rng.integers(n_distinct, size=n)], order=order)
-    assert_fits_bit_equal(pts, k, seed % 7, max_iter)
+    assert_fits_match(pts, k, seed % 7, max_iter)
 
     init = pts[rng.integers(n, size=k)]
     if k > 1 and seed % 2:
         init[1:] = 50.0 * np.arange(1, k)[:, None] + np.zeros(dim)  # centers that lose every point
-    got, want = _lloyd(pts, init.copy(), 100, 1e-10), frozen_lloyd(pts, init.copy(), 100, 1e-10)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    assert_lloyd_equal(run_lloyd(pts, init.copy(), 100, 1e-10),
+                       frozen_lloyd(np.asfortranarray(pts), init.copy(), 100, 1e-10))
 
 
 @pytest.mark.parametrize("order", "CF")
@@ -588,7 +657,100 @@ def test_workspace_fits_equal_allocating_loops_at_benchmark_size(order):
     pts[: n // 3] += rng.normal(size=dim) * 3.0
     pts = np.asarray(pts, order=order)
     for k in (2, 3):
-        assert_fits_bit_equal(pts, k, seed=0)
+        assert_fits_match(pts, k, seed=0, ref=pts)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(n=st.integers(1, 120), dim=st.integers(2, 6), k=st.integers(1, 4),
+       n_distinct=st.integers(1, 120), max_iter=st.sampled_from([0, 1, 2, EM_MAX_ITER]),
+       seed=st.integers(0, 2**32 - 1))
+def test_fits_do_not_depend_on_the_layout_of_the_points(n, dim, k, n_distinct, max_iter,
+                                                        seed):
+    # The same draws as the frozen-loop comparison; dim >= 2 so that the C-
+    # and F-ordered copies differ in memory.
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    sites = rng.normal(size=(n_distinct, dim)) * rng.uniform(1e-2, 10.0, size=dim)
+    c_pts = np.ascontiguousarray(sites[rng.integers(n_distinct, size=n)])
+    f_pts = np.asfortranarray(c_pts)
+    assert_fields_equal(kmeans(c_pts, k, seed=seed % 7), kmeans(f_pts, k, seed=seed % 7))
+    model = gmm_fit(c_pts, k, max_iter=max_iter, seed=seed % 7)
+    assert_fields_equal(gmm_fit(f_pts, k, max_iter=max_iter, seed=seed % 7), model)
+    assert np.array_equal(gmm_posterior(model, c_pts), gmm_posterior(model, f_pts))
+
+
+@pytest.mark.parametrize("order", "CF")
+@pytest.mark.parametrize("dim", [1, 3])
+def test_finish_centers_are_mask_means_bitwise(order, dim):
+    # Off-centre points, so that summation order shows; cluster 0 has a
+    # single member.
+    rng = np.random.default_rng(80)
+    pts = np.asarray(rng.normal(size=(40, dim)) * 3.0 + 1e2, order=order)
+    labels = rng.integers(1, 4, size=40)
+    labels[7] = 0
+    history = [np.nan]
+    X, _ = feature_major(pts)
+    centers = _finish(X, labels, history, _LloydWork(dim, 40, 4))
+    want = np.stack([pts[labels == c].mean(axis=0) for c in range(4)])
+    assert np.array_equal(centers, want)
+    assert history[-1] == float(np.sum((pts - want[labels]) ** 2))
+
+
+@pytest.mark.parametrize("order", "CF")
+def test_reseeded_cluster_centers_are_mask_means_bitwise(order):
+    # Far initial centers lose every point in the first pass, so both are
+    # reseeded; each ends up with members whose mean is its center.
+    rng = np.random.default_rng(81)
+    pts = np.asarray(rng.normal(size=(30, 3)) + 1e2, order=order)
+    init = np.vstack([pts[0], np.full(3, 1e4), np.full(3, 2e4)])
+    centers, labels, inertia, history = run_lloyd(pts, init, 100, 1e-10)
+    assert sorted(np.bincount(labels, minlength=3))[0] >= 1
+    want = np.stack([pts[labels == c].mean(axis=0) for c in range(3)])
+    assert np.array_equal(centers, want)
+    assert inertia == history[-1] == float(np.sum((pts - want[labels]) ** 2))
+
+
+def test_restarts_ending_on_one_partition_finish_once(monkeypatch):
+    # Two separated blobs: every restart ends on the true partition, under
+    # one of its two labellings, so at least three of the five share labels.
+    pts, _ = two_blobs(np.random.default_rng(82), n_per=40, dim=3)
+    X, point_sq = feature_major(pts)
+    runs = [run_lloyd(pts, _kmeans_pp_seed(X, 2, np.random.default_rng([5, r]), point_sq),
+                      100, 1e-10) for r in range(KMEANS_RESTARTS)]
+    distinct = {tuple(run[1]) for run in runs}
+    assert len(distinct) < KMEANS_RESTARTS
+    first_best = min(range(KMEANS_RESTARTS), key=lambda r: runs[r][2])
+    all_finished = KMeansResult(runs[first_best][0], runs[first_best][1],
+                                runs[first_best][2], runs[first_best][3])
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _finish(*args, **kwargs)
+
+    monkeypatch.setattr(clustering, "_finish", counted)
+    result = kmeans(pts, 2, seed=5)
+    assert len(calls) == len(distinct)
+    assert_fields_equal(result, all_finished)
+
+
+@pytest.mark.parametrize("algo, expected", [("kmeans", {"kmeans": 1, "gmm_fit": 0}),
+                                            ("gmm", {"kmeans": 1, "gmm_fit": 1})])
+def test_cluster_attractors_fits_through_the_module_names(algo, expected, monkeypatch):
+    # Callers that wrap `danet.clustering.kmeans` and `gmm_fit` (the
+    # benchmark's spans) see every fit, and `gmm` runs one k-means.
+    calls = dict.fromkeys(expected, 0)
+    for name in calls:
+        def counted(*args, _name=name, _fit=getattr(clustering, name), **kwargs):
+            calls[_name] += 1
+            return _fit(*args, **kwargs)
+
+        monkeypatch.setattr(clustering, name, counted)
+    V = np.hstack([np.random.default_rng(83).normal(size=(3, 40)),
+                   np.random.default_rng(84).normal(size=(3, 40)) + 6.0])
+    cluster_attractors(V, 2, algo=algo, seed=0)
+    assert calls == expected
 
 
 def test_gmm_seeds_through_the_module_kmeans(monkeypatch):
@@ -617,7 +779,7 @@ class TestConverged:
     @pytest.mark.parametrize("max_iter", [0, 1, 2])
     def test_false_at_the_iteration_cap(self, max_iter):
         pts, _ = two_blobs(np.random.default_rng(73))
-        model = gmm_fit(pts, 2, max_iter=max_iter, seed=0, tol=-np.inf)
+        model = gmm_fit(pts, 2, max_iter=max_iter, seed=0, tol=0.0)
         assert len(model.ll_history) == max_iter
         assert not model.converged
 
