@@ -241,13 +241,13 @@ def kmeans(points: np.ndarray, k: int, max_iter: int = 100, tol: float = 1e-10,
 
 class _EmWork:
     """The buffers of one EM fit on (dim, n) points: the (k, dim, n) centred
-    points and a (k, dim, n) scratch array (whitened points in the E-step,
+    points and a (k, dim, n) temporary (whitened points in the E-step,
     weighted points in the M-step), the (k, n) log-densities, which become
     the log responsibilities and then the responsibilities, and their
     shifted copy, and the (n,) maxima and log-sum-exps."""
 
     def __init__(self, k: int, dim: int, n: int):
-        self.centred, self.scratch = np.empty((k, dim, n)), np.empty((k, dim, n))
+        self.centred, self.temp = np.empty((k, dim, n)), np.empty((k, dim, n))
         self.centred_of = None
         self.log_dens, self.shifted = np.empty((k, n)), np.empty((k, n))
         self.top, self.lse = np.empty(n), np.empty(n)
@@ -272,7 +272,7 @@ def _e_step(X: np.ndarray, model: GmmModel, work: _EmWork):
     chol = np.linalg.cholesky(model.covariances)
     inv_chol = np.linalg.inv(chol)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    z = np.matmul(inv_chol, _centred(X, model.means, work), out=work.scratch)
+    z = np.matmul(inv_chol, _centred(X, model.means, work), out=work.temp)
     # log w - 0.5 * |z|^2 - 0.5 * (dim log 2 pi + log det), in that order.
     log_dens = np.einsum("kdn,kdn->kn", z, z, out=work.log_dens)
     log_dens *= 0.5
@@ -293,7 +293,7 @@ def _moments(X: np.ndarray, resp: np.ndarray, work: _EmWork):
     mass = resp.sum(axis=1) + 1e-300
     means = (resp @ X.T) / mass[:, None]
     centred = _centred(X, means, work)
-    weighted = np.multiply(centred, resp[:, None, :], out=work.scratch)
+    weighted = np.multiply(centred, resp[:, None, :], out=work.temp)
     scatter = weighted @ centred.transpose(0, 2, 1)
     return mass, means, 0.5 * (scatter + scatter.transpose(0, 2, 1))
 
