@@ -208,10 +208,8 @@ def kmeans(points: np.ndarray, k: int, max_iter: int = 100, tol: float = 1e-10,
     and every restart runs on it in one `_LloydWork`, so no field of the
     result depends on the layout of the given points. The centers are the
     plain means of the final clusters and the inertia a plain sum
-    (`_finish`), bit for bit as a direct evaluation gives them. A restart
-    that ends on the labels of an earlier one skips `_finish`: its exact
-    inertia is the same, so it cannot win the strict < that picks the first
-    best restart.
+    (`_finish`), bit for bit as a direct evaluation gives them; the strict <
+    keeps the first restart of least inertia.
     """
     points = _as_points(points)
     n = points.shape[0]
@@ -225,14 +223,11 @@ def kmeans(points: np.ndarray, k: int, max_iter: int = 100, tol: float = 1e-10,
     X = _feature_major(points)
     point_sq = np.sum(X * X, axis=0)
     work = _LloydWork(X.shape[0], n, k)
-    best, finished = None, []
+    best = None
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         centers0 = _kmeans_pp_seed(X, k, rng, point_sq)
         labels, history = _lloyd(X, centers0, max_iter, tol, point_sq, work)
-        if any(np.array_equal(labels, seen) for seen in finished):
-            continue
-        finished.append(labels)
         centers = _finish(X, labels, history, work)
         if best is None or history[-1] < best.inertia:
             best = KMeansResult(centers, labels, history[-1], history)
@@ -349,7 +344,7 @@ def gmm_fit(points: np.ndarray, k: int, max_iter: int = EM_MAX_ITER,
     if reg <= 0:
         raise ValueError(f"reg must be positive, got {reg}")
 
-    labels = kmeans(points, k, seed=seed).assignments
+    labels = kmeans(X.T, k, seed=seed).assignments  # X.T is X's memory: kmeans copies nothing
     work = _EmWork(k, dim, n)
     hard = np.equal(labels, np.arange(k)[:, None]).astype(np.float64)
     mass, means, scatter = _moments(X, hard, work)
@@ -378,14 +373,15 @@ def gmm_fit(points: np.ndarray, k: int, max_iter: int = EM_MAX_ITER,
 
 
 def gmm_posterior(model: GmmModel, points: np.ndarray) -> np.ndarray:
-    """Responsibility matrix (n, k) (rows on the simplex), log-sum-exp stabilized."""
+    """Responsibility matrix (n, k) (rows on the simplex), log-sum-exp
+    stabilized, as a C-contiguous array."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     k, dim = model.means.shape
     if points.ndim != 2 or points.shape[1] != dim:
         raise ValueError(f"points must be (n, {dim}) for a model of dimension {dim}, "
                          f"got {points.shape}")
     log_resp = _e_step(_feature_major(points), model, _EmWork(k, dim, points.shape[0]))[0]
-    return np.exp(log_resp, out=log_resp).T
+    return np.ascontiguousarray(np.exp(log_resp, out=log_resp).T)
 
 
 def cluster_attractors(V: np.ndarray, n_speakers: int, algo: str = "gmm",
