@@ -10,7 +10,7 @@ can be reproduced from its output directory.
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,8 @@ from .clustering import ALGOS
 from .corpus import DatasetRecipe, build_dataset, scan_corpus, synth_corpus
 from .dsp import StftConfig, read_wav, write_wav
 from .network import CELL_KINDS, ArchSpec, count_params, finite_difference_check
-from .pipeline import HyperParams, load_checkpoint, save_checkpoint, separate, train
+from .pipeline import (HyperParams, TrainLog, load_checkpoint, save_checkpoint, separate,
+                       train)
 
 # The arch/stft/train/eval keys are the fields of these dataclasses, whose
 # defaults are the config defaults.
@@ -107,7 +108,6 @@ class ConfigError(Exception):
 @dataclass
 class CommandOutcome:
     exit_code: int = 0
-    artifacts: list[str] = field(default_factory=list)
     summary: str = ""
 
 
@@ -198,10 +198,8 @@ def cmd_synth(cfg: dict, args) -> CommandOutcome:
                          utts_per_speaker=cfg["synth.utts"],
                          dur=cfg["synth.dur"], seed=cfg["synth.seed"])
     echo_config(cfg, out_dir / "effective_config.txt")
-    return CommandOutcome(
-        artifacts=[str(out_dir)],
-        summary=(f"synthesized {len(table.speakers)} speakers, "
-                 f"{table.total_duration:.0f} s of audio in {out_dir}"))
+    return CommandOutcome(summary=(f"synthesized {len(table.speakers)} speakers, "
+                                   f"{table.total_duration:.0f} s of audio in {out_dir}"))
 
 
 def cmd_mix(cfg: dict, args) -> CommandOutcome:
@@ -215,9 +213,12 @@ def cmd_mix(cfg: dict, args) -> CommandOutcome:
     records = build_dataset(table, recipe, out_dir)
     echo_config(cfg, out_dir / "effective_config.txt")
     counts = {s: sum(r.split == s for r in records) for s in ("train", "valid", "test")}
-    return CommandOutcome(
-        artifacts=[str(out_dir / "manifest.jsonl")],
-        summary=f"built {counts} mixtures under {out_dir}")
+    summary = f"built {counts} mixtures under {out_dir}"
+    if table.skipped:
+        path, reason = table.skipped[0]
+        summary += (f"; skipped {len(table.skipped)} unreadable or empty corpus "
+                    f"file(s), first {path}: {reason}")
+    return CommandOutcome(summary=summary)
 
 
 def cmd_train(cfg: dict, args) -> CommandOutcome:
@@ -233,25 +234,24 @@ def cmd_train(cfg: dict, args) -> CommandOutcome:
             raise ConfigError(f"--resume: no checkpoint at {last_path}")
         resume_from = load_checkpoint(last_path)
 
-    def progress(row):
+    def progress(row, ckpt, is_best):
+        # Every epoch leaves a resumable run: the best checkpoint, the log row
+        # (epoch 1 starts a fresh run's log) and last, which --resume reads.
+        if is_best:
+            save_checkpoint(ckpt, out_dir / "checkpoint.danc")
+        TrainLog([row]).to_csv(out_dir / "trainlog.csv", append=row.epoch > 1)
+        save_checkpoint(ckpt, out_dir / "last.danc")
         print(f"epoch {row.epoch}: train {row.train_loss:.4f} "
               f"val {row.val_loss:.4f} lr {row.lr:.2e} ({row.seconds:.1f}s)")
 
     result = train(args.manifest, hyper, arch, stft_cfg=_build(StftConfig, cfg, "stft"),
                    resume_from=resume_from, progress=progress)
-    # A resumed run that never beat its earlier best leaves that checkpoint be.
-    if result.best is None:
-        where = "from before the resume (checkpoint kept)"
-    else:
-        save_checkpoint(result.best, out_dir / "checkpoint.danc")
-        where = f"at epoch {result.best.epoch}"
-    save_checkpoint(result.last, out_dir / "last.danc")
-    result.log.to_csv(out_dir / "trainlog.csv", append=args.resume)
     echo_config(cfg, out_dir / "effective_config.txt")
-    return CommandOutcome(
-        artifacts=[str(out_dir / "checkpoint.danc"), str(out_dir / "trainlog.csv")],
-        summary=(f"trained to epoch {result.last.epoch}; best validation loss "
-                 f"{result.last.best_val_loss:.4f} {where}"))
+    # A resumed run that never beat its earlier best left that checkpoint be.
+    where = ("from before the resume (checkpoint kept)" if result.best is None
+             else f"at epoch {result.best.epoch}")
+    return CommandOutcome(summary=(f"trained to epoch {result.last.epoch}; best validation "
+                                   f"loss {result.last.best_val_loss:.4f} {where}"))
 
 
 def cmd_separate(cfg: dict, args) -> CommandOutcome:
@@ -262,19 +262,14 @@ def cmd_separate(cfg: dict, args) -> CommandOutcome:
                     algo=cfg["separate.cluster"], seed=cfg["separate.seed"])
     out_dir = Path(args.out_dir) if args.out_dir else in_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
     for i, wave in enumerate(outs, start=1):
-        path = out_dir / f"{in_path.stem}_spk{i}.wav"
-        write_wav(path, wave)
-        paths.append(str(path))
+        write_wav(out_dir / f"{in_path.stem}_spk{i}.wav", wave)
     # Sigmoid masks need not partition the mixture; report the gap.
     total = np.sum([w.samples for w in outs], axis=0)
     residual = float(np.linalg.norm(total - mixture.samples)
                      / max(np.linalg.norm(mixture.samples), 1e-300))
-    return CommandOutcome(
-        artifacts=paths,
-        summary=(f"wrote {len(paths)} sources to {out_dir} "
-                 f"(sum-vs-mixture residual {residual:.3f})"))
+    return CommandOutcome(summary=(f"wrote {len(outs)} sources to {out_dir} "
+                                   f"(sum-vs-mixture residual {residual:.3f})"))
 
 
 def cmd_eval(cfg: dict, args) -> CommandOutcome:
@@ -290,11 +285,10 @@ def cmd_eval(cfg: dict, args) -> CommandOutcome:
                            split=cfg["eval.split"], seed=cfg["eval.seed"], stft_cfg=stft_cfg)
     echo_config(cfg, out_csv.with_suffix(".config.txt"))
     if summary["count"] == 0:
-        return CommandOutcome(artifacts=[str(out_csv)],
-                              summary=f"no utterances in split {cfg['eval.split']!r}")
+        return CommandOutcome(summary=f"no utterances in split {cfg['eval.split']!r}")
     line = (f"{algo} on {summary['count']} mixtures: mean SDR {summary['sdr']:.2f} dB, "
             f"SIR {summary['sir']:.2f} dB, SAR {summary['sar']:.2f} dB")
-    return CommandOutcome(artifacts=[str(out_csv)], summary=line)
+    return CommandOutcome(summary=line)
 
 
 def cmd_count_params(cfg: dict, args) -> CommandOutcome:

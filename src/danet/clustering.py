@@ -243,36 +243,25 @@ class _EmWork:
 
     def __init__(self, k: int, dim: int, n: int):
         self.centred, self.temp = np.empty((k, dim, n)), np.empty((k, dim, n))
-        self.centred_of = None
         self.log_dens, self.shifted = np.empty((k, n)), np.empty((k, n))
         self.top, self.lse = np.empty(n), np.empty(n)
 
 
-def _centred(X: np.ndarray, means: np.ndarray, work: _EmWork) -> np.ndarray:
-    """X - means[:, :, None], (k, dim, n), kept in work.centred. A second
-    call with the same means object (the M-step's means reaching the next
-    E-step) returns the stored values without recomputing them."""
-    if work.centred_of is not means:
-        np.subtract(X, means[:, :, None], out=work.centred)
-        work.centred_of = means
-    return work.centred
-
-
-def _e_step(X: np.ndarray, model: GmmModel, work: _EmWork):
+def _e_step(centred: np.ndarray, model: GmmModel, work: _EmWork):
     """Log responsibilities (k, n) and per-point log-likelihoods (n,) of the
-    (dim, n) points X, plus inv(L) and log det cov from the one Cholesky
-    factor L of each covariance (stacked over components), which the
-    prior's terms reuse. The two returned arrays live in `work` until the
-    next E-step."""
+    points, given as their (k, dim, n) differences from the model's means,
+    plus inv(L) and log det cov from the one Cholesky factor L of each
+    covariance (stacked over components), which the prior's terms reuse.
+    The two returned arrays live in `work` until the next E-step."""
     chol = np.linalg.cholesky(model.covariances)
     inv_chol = np.linalg.inv(chol)
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    z = np.matmul(inv_chol, _centred(X, model.means, work), out=work.temp)
+    z = np.matmul(inv_chol, centred, out=work.temp)
     # log w - 0.5 * |z|^2 - 0.5 * (dim log 2 pi + log det), in that order.
     log_dens = np.einsum("kdn,kdn->kn", z, z, out=work.log_dens)
     log_dens *= 0.5
     np.subtract(np.log(model.weights)[:, None], log_dens, out=log_dens)
-    log_dens -= 0.5 * (X.shape[0] * np.log(2.0 * np.pi) + logdet)[:, None]
+    log_dens -= 0.5 * (centred.shape[1] * np.log(2.0 * np.pi) + logdet)[:, None]
     top = np.max(log_dens, axis=0, out=work.top)
     shifted = np.subtract(log_dens, top, out=work.shifted)
     lse = np.sum(np.exp(shifted, out=shifted), axis=0, out=work.lse)
@@ -284,13 +273,15 @@ def _e_step(X: np.ndarray, model: GmmModel, work: _EmWork):
 
 def _moments(X: np.ndarray, resp: np.ndarray, work: _EmWork):
     """Mass (k,), means (k, dim) and symmetrised scatter matrices (k, dim, dim)
-    of the (dim, n) points weighted by each row of the (k, n) resp."""
+    of the (dim, n) points weighted by each row of the (k, n) resp, and the
+    points centred on those means, (k, dim, n) in work.centred, which the
+    next E-step takes."""
     mass = resp.sum(axis=1) + 1e-300
     means = (resp @ X.T) / mass[:, None]
-    centred = _centred(X, means, work)
+    centred = np.subtract(X, means[:, :, None], out=work.centred)
     weighted = np.multiply(centred, resp[:, None, :], out=work.temp)
     scatter = weighted @ centred.transpose(0, 2, 1)
-    return mass, means, 0.5 * (scatter + scatter.transpose(0, 2, 1))
+    return mass, means, 0.5 * (scatter + scatter.transpose(0, 2, 1)), centred
 
 
 def default_regularization(points: np.ndarray) -> float:
@@ -329,7 +320,7 @@ def gmm_fit(points: np.ndarray, k: int, max_iter: int = EM_MAX_ITER,
     every elementwise pass and every reduction over the components walks n
     contiguous values, and the fit does not depend on the layout of the
     given points. The M-step's centred points serve the next E-step, whose
-    means are the same array.
+    means are the M-step's.
     """
     points = _as_points(points)
     n, dim = points.shape
@@ -347,7 +338,7 @@ def gmm_fit(points: np.ndarray, k: int, max_iter: int = EM_MAX_ITER,
     labels = kmeans(X.T, k, seed=seed).assignments  # X.T is X's memory: kmeans copies nothing
     work = _EmWork(k, dim, n)
     hard = np.equal(labels, np.arange(k)[:, None]).astype(np.float64)
-    mass, means, scatter = _moments(X, hard, work)
+    mass, means, scatter, centred = _moments(X, hard, work)
     strength, scale = n / k, scatter.sum(axis=0) / n + 2.0 * reg * np.eye(dim)
 
     history, prev, converged = [], -np.inf, False
@@ -356,7 +347,7 @@ def gmm_fit(points: np.ndarray, k: int, max_iter: int = EM_MAX_ITER,
         model = GmmModel(mass / mass.sum(), means,
                          (scatter + strength * scale) / (mass + strength)[:, None, None],
                          -np.inf, history, converged)
-        log_resp, lse, inv_chol, logdet = _e_step(X, model, work)
+        log_resp, lse, inv_chol, logdet = _e_step(centred, model, work)
         if done:
             model.log_likelihood = float(np.mean(lse))
             return model
@@ -366,7 +357,7 @@ def gmm_fit(points: np.ndarray, k: int, max_iter: int = EM_MAX_ITER,
             raise FloatingPointError(
                 f"EM objective decreased: {prev} -> {objective}")
         history.append(objective)
-        mass, means, scatter = _moments(X, np.exp(log_resp, out=log_resp), work)
+        mass, means, scatter, centred = _moments(X, np.exp(log_resp, out=log_resp), work)
         converged = bool(objective - prev < tol and np.isfinite(prev))
         done = converged or len(history) == max_iter
         prev = objective
@@ -380,7 +371,9 @@ def gmm_posterior(model: GmmModel, points: np.ndarray) -> np.ndarray:
     if points.ndim != 2 or points.shape[1] != dim:
         raise ValueError(f"points must be (n, {dim}) for a model of dimension {dim}, "
                          f"got {points.shape}")
-    log_resp = _e_step(_feature_major(points), model, _EmWork(k, dim, points.shape[0]))[0]
+    work = _EmWork(k, dim, points.shape[0])
+    centred = np.subtract(_feature_major(points), model.means[:, :, None], out=work.centred)
+    log_resp = _e_step(centred, model, work)[0]
     return np.ascontiguousarray(np.exp(log_resp, out=log_resp).T)
 
 

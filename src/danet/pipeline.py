@@ -8,6 +8,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,34 +128,17 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
         params.tensors[name] -= np.divide(b, a, out=b)
 
 
-class LrSchedule:
-    """Halve the rate when the best validation loss stalls for `patience` epochs."""
-
-    def __init__(self, lr0: float, patience: int, lr_min: float,
-                 best: float = np.inf, since_best: int = 0):
-        self.lr = lr0
-        self.patience = patience
-        self.lr_min = lr_min
-        self.best = best
-        self.since_best = since_best
-
-    def update(self, val_loss: float) -> bool:
-        """Feed one epoch's validation loss; True when this is a new best."""
-        if val_loss < self.best:
-            self.best = val_loss
-            self.since_best = 0
-            return True
-        self.since_best += 1
-        if self.since_best >= self.patience:
-            self.lr = max(self.lr / 2.0, self.lr_min)
-            self.since_best = 0
-        return False
+def _check_input_dim(arch: ArchSpec, stft_cfg: StftConfig) -> None:
+    if arch.input_dim != stft_cfg.num_freqs:
+        raise ValueError(f"arch.input_dim={arch.input_dim} differs from the STFT's "
+                         f"num_freqs={stft_cfg.num_freqs} (fft_size={stft_cfg.fft_size})")
 
 
 @dataclass
 class Checkpoint:
-    """The training state. With `_HEADER` and `_tensor_stream` it declares the
-    `.danc` layout, which save_checkpoint and load_checkpoint both follow."""
+    """The training state, which `train` updates at the end of every epoch.
+    With `_HEADER` and `_tensor_stream` it declares the `.danc` layout, which
+    save_checkpoint and load_checkpoint both follow."""
 
     params: ModelParams
     adam: AdamState
@@ -165,12 +149,29 @@ class Checkpoint:
     best_val_loss: float
     epochs_since_best: int = 0
 
+    def __post_init__(self):
+        _check_input_dim(self.arch, self.stft_cfg)
+
     @property
     def arch(self) -> ArchSpec:
         return self.params.arch
 
     def copy(self) -> "Checkpoint":
         return replace(self, params=self.params.copy(), adam=self.adam.copy())
+
+    def end_epoch(self, epoch: int, val_loss: float, hyper: HyperParams) -> bool:
+        """Close `epoch` with its validation loss; True when it is a new best.
+        After `lr_halve_patience` epochs without one, halve the rate, never
+        below `lr_min`."""
+        self.epoch = epoch
+        if val_loss < self.best_val_loss:
+            self.best_val_loss, self.epochs_since_best = val_loss, 0
+            return True
+        self.epochs_since_best += 1
+        if self.epochs_since_best >= hyper.lr_halve_patience:
+            self.lr = max(self.lr / 2.0, hyper.lr_min)
+            self.epochs_since_best = 0
+        return False
 
 
 # Header sections in file order, as (key prefix, fields): the architecture,
@@ -301,9 +302,8 @@ class TrainLog:
         return [(r.epoch, r.train_loss, r.val_loss, r.lr) for r in self.rows]
 
 
-@dataclass
-class _Utterance:
-    features: np.ndarray          # standardized log magnitude, F x T
+class _Utterance(NamedTuple):
+    features: np.ndarray          # log magnitude, F x T; train() standardizes it in place
     mix_mag: np.ndarray           # linear magnitude, F x T
     masks: list[np.ndarray]       # binary ideal masks, F x T each
 
@@ -323,9 +323,8 @@ def mixture_masks(mix: Waveform, sources: list[Waveform], cfg: StftConfig):
     return spec, magnitude(spec), masks
 
 
-def _load_split(records: list[corpus_mod.MixtureRecord],
-                cfg: StftConfig) -> list[tuple[np.ndarray, np.ndarray, list[np.ndarray]]]:
-    """Raw log-feature and mask material per utterance (stats applied later)."""
+def _load_split(records: list[corpus_mod.MixtureRecord], cfg: StftConfig) -> list[_Utterance]:
+    """Each mixture's log features, magnitude and binary ideal masks."""
     def read(path) -> Waveform:
         wave = read_wav(path)
         if wave.sample_rate != SAMPLE_RATE:
@@ -337,8 +336,7 @@ def _load_split(records: list[corpus_mod.MixtureRecord],
     for rec in records:
         _, mix_mag, masks = mixture_masks(read(rec.mixture_path),
                                           [read(p) for p in rec.source_paths], cfg)
-        out.append((log_features(mix_mag), mix_mag,
-                    [binarize(m) for m in masks]))
+        out.append(_Utterance(log_features(mix_mag), mix_mag, [binarize(m) for m in masks]))
     return out
 
 
@@ -348,87 +346,74 @@ def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
     """Run the full training loop over a manifest's train/valid splits.
 
     Per epoch: seeded shuffle, padded batches, forward/backward, global-norm
-    gradient clip, Adam step; then a validation pass drives the LR schedule.
-    The best-validation checkpoint is the product; the last-epoch checkpoint
-    supports exact resumption (per-epoch RNG is derived from (seed, epoch)).
+    gradient clip, Adam step; then a validation pass ends the epoch of the
+    one checkpoint the run updates, returned as `last` for exact resumption
+    (per-epoch RNG is derived from (seed, epoch)). `best` is its copy at the
+    best validation loss. progress(record, ckpt, is_best) sees each epoch.
     """
     records = corpus_mod.load_manifest(manifest_path)
     train_records = [r for r in records if r.split == "train"]
     valid_records = [r for r in records if r.split == "valid"]
     if not train_records or not valid_records:
         raise ValueError("manifest needs non-empty train and valid splits")
+    _check_input_dim(arch, stft_cfg)
     requested = (arch, stft_cfg)
     if resume_from is not None and (resume_from.arch, resume_from.stft_cfg) != requested:
         raise ValueError(f"resume architecture and STFT geometry {resume_from.arch}, "
                          f"{resume_from.stft_cfg} != requested {arch}, {stft_cfg}")
 
-    raw_train = _load_split(train_records, stft_cfg)
-    raw_valid = _load_split(valid_records, stft_cfg)
+    train_utts = _load_split(train_records, stft_cfg)
+    valid_utts = _load_split(valid_records, stft_cfg)
 
     # The run's state; a fresh run starts from an epoch-0 checkpoint.
     if resume_from is not None:
         ckpt = resume_from.copy()
     else:
         params = init_params(arch, hyper.seed)
-        params.feat_mean, params.feat_std = feature_stats([f for f, _, _ in raw_train])
+        params.feat_mean, params.feat_std = feature_stats([u.features for u in train_utts])
         ckpt = Checkpoint(params, AdamState.zeros(params), stft_cfg, SAMPLE_RATE,
                           epoch=0, lr=hyper.lr0, best_val_loss=np.inf)
-    params, adam, start_epoch = ckpt.params, ckpt.adam, ckpt.epoch
-    schedule = LrSchedule(ckpt.lr, hyper.lr_halve_patience, hyper.lr_min,
-                          best=ckpt.best_val_loss, since_best=ckpt.epochs_since_best)
+    params = ckpt.params
+    for u in train_utts + valid_utts:
+        u.features[...] = standardize(u.features, params.feat_mean, params.feat_std)
 
-    train_utts, valid_utts = ([_Utterance(standardize(f, params.feat_mean, params.feat_std),
-                                          mag, masks)
-                               for f, mag, masks in raw] for raw in (raw_train, raw_valid))
-
-    def validation_loss() -> float:
-        total = 0.0
-        for i in range(0, len(valid_utts), hyper.batch_size):
-            chunk = valid_utts[i:i + hyper.batch_size]
-            total += batch_loss([u.features for u in chunk], [u.mix_mag for u in chunk],
-                                [u.masks for u in chunk], params) * len(chunk)
-        return total / len(valid_utts)
-
-    def advance(epoch) -> Checkpoint:
-        ckpt.epoch, ckpt.lr = epoch, schedule.lr
-        ckpt.best_val_loss, ckpt.epochs_since_best = schedule.best, schedule.since_best
-        return ckpt
-
-    log = TrainLog()
-    best_ckpt = None
-    for epoch in range(start_epoch + 1, start_epoch + hyper.epochs + 1):
-        started = time.perf_counter()
-        lr_this_epoch = schedule.lr
-        order = np.random.default_rng([hyper.seed, epoch]).permutation(len(train_utts))
+    def mean_loss(utts, order, step) -> float:
+        """Mean per-utterance loss of step(features, mix_mags, masks) over batches."""
         total = 0.0
         for i in range(0, len(order), hyper.batch_size):
-            chunk = [train_utts[j] for j in order[i:i + hyper.batch_size]]
-            loss, grads = batch_loss_and_grads(
-                [u.features for u in chunk], [u.mix_mag for u in chunk],
-                [u.masks for u in chunk], params)
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"training diverged at epoch {epoch} (loss {loss}); "
-                    f"last losses: {[r.train_loss for r in log.rows[-3:]]}")
-            clip_grads(grads, hyper.grad_clip)
-            adam_step(params, grads, adam, schedule.lr,
-                      hyper.beta1, hyper.beta2, hyper.eps)
-            total += loss * len(chunk)
-        train_loss = total / len(train_utts)
-        val_loss = validation_loss()
+            chunk = [utts[j] for j in order[i:i + hyper.batch_size]]
+            total += step(*zip(*chunk)) * len(chunk)
+        return total / len(utts)
 
-        improved = schedule.update(val_loss)
-        log.rows.append(EpochRecord(epoch, train_loss, val_loss, lr_this_epoch,
+    def train_step(*batch) -> float:
+        loss, grads = batch_loss_and_grads(*batch, params)
+        if not np.isfinite(loss):
+            raise FloatingPointError(
+                f"training diverged at epoch {epoch} (loss {loss}); "
+                f"last losses: {[r.train_loss for r in log.rows[-3:]]}")
+        clip_grads(grads, hyper.grad_clip)
+        adam_step(params, grads, ckpt.adam, ckpt.lr, hyper.beta1, hyper.beta2, hyper.eps)
+        return loss
+
+    log = TrainLog()
+    best = None
+    for epoch in range(ckpt.epoch + 1, ckpt.epoch + hyper.epochs + 1):
+        started = time.perf_counter()
+        order = np.random.default_rng([hyper.seed, epoch]).permutation(len(train_utts))
+        train_loss = mean_loss(train_utts, order, train_step)
+        val_loss = mean_loss(valid_utts, range(len(valid_utts)),
+                             lambda *batch: batch_loss(*batch, params))
+        log.rows.append(EpochRecord(epoch, train_loss, val_loss, ckpt.lr,
                                     time.perf_counter() - started))
         # A fresh run's first epoch is its best so far even if its loss is
         # not finite; a resumed run keeps its earlier best unless beaten.
-        if improved or (best_ckpt is None and resume_from is None):
-            best_ckpt = advance(epoch).copy()
+        is_best = (ckpt.end_epoch(epoch, val_loss, hyper)
+                   or (best is None and resume_from is None))
+        if is_best:
+            best = ckpt.copy()
         if progress is not None:
-            progress(log.rows[-1])
-
-    # Training is over, so the run's own state is the last checkpoint.
-    return TrainResult(best=best_ckpt, last=advance(start_epoch + hyper.epochs), log=log)
+            progress(log.rows[-1], ckpt, is_best)
+    return TrainResult(best=best, last=ckpt, log=log)
 
 
 def separate(mixture: Waveform, ckpt: Checkpoint, n_speakers: int = 2,

@@ -1,5 +1,6 @@
 """Command-line interface tests (exit codes, artifacts, reproducibility)."""
 
+import shutil
 import wave as wavefile
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 import scipy
 
 from danet.bsseval import EvalConfig, evaluate_set
+from danet import cli
 from danet.cli import DEFAULTS, echo_config, load_config, main
 from danet.dsp import StftConfig, Waveform, read_wav, write_wav
 from danet.network import ArchSpec, count_params, finite_difference_check
+from danet.pipeline import load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +47,18 @@ class TestSynthAndMix:
         a = (workspace / "mix" / "manifest.jsonl").read_bytes()
         b = (tmp_path / "mix2" / "manifest.jsonl").read_bytes()
         assert a == b
+
+    def test_mix_reports_skipped_corpus_files(self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        bad = sorted((corpus / "spk01").glob("*.wav"))[1]
+        bad.write_bytes(bad.read_bytes()[:30])
+        rc = main(["mix", "--corpus", str(corpus), "--out", str(tmp_path / "mix"),
+                   "--train-min", "0.1", "--valid-min", "0.04", "--test-min", "0.04",
+                   "--seed", "2"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert f"; skipped 1 unreadable or empty corpus file(s), first {bad}: " in out
 
     def test_missing_corpus_exits_2(self, tmp_path, capsys):
         rc = main(["mix", "--corpus", str(tmp_path / "nowhere"),
@@ -103,6 +118,44 @@ class TestTrainCommand:
         assert main([*args, "--resume"]) == 1
         assert "hop=32" in capsys.readouterr().err
         assert (tmp_path / "run" / "last.danc").read_bytes() == last
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_interrupted_run_resumes_to_the_same_files(self, workspace, tmp_path,
+                                                       monkeypatch, k):
+        # The best is epoch 2, and epoch 3 halves the rate.
+        args = ["--set", "train.patience=1", "train",
+                "--manifest", str(workspace / "mix" / "manifest.jsonl"),
+                "--batch-size", "4", "--layers", "1", "--hidden", "8", "--embed-dim", "4",
+                "--lr0", "0.1", "--seed", "3"]
+        whole, cut = tmp_path / "whole", tmp_path / "cut"
+        assert main([*args, "--out", str(whole), "--epochs", "3"]) == 0
+
+        real_save = cli.save_checkpoint
+
+        def save_then_stop(ckpt, path):
+            real_save(ckpt, path)
+            if path.name == "last.danc" and ckpt.epoch == k:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "save_checkpoint", save_then_stop)
+        with pytest.raises(KeyboardInterrupt):
+            main([*args, "--out", str(cut), "--epochs", "3"])
+        monkeypatch.undo()
+        assert len((cut / "trainlog.csv").read_text().splitlines()) == 1 + k
+        assert main([*args, "--out", str(cut), "--epochs", str(3 - k), "--resume"]) == 0
+
+        for name in ("checkpoint.danc", "last.danc"):
+            assert (cut / name).read_bytes() == (whole / name).read_bytes(), name
+
+        def without_seconds(run):
+            return [line.rsplit(",", 1)[0]
+                    for line in (run / "trainlog.csv").read_text().splitlines()]
+
+        assert without_seconds(cut) == without_seconds(whole)
+        assert [line.split(",")[0] for line in without_seconds(whole)] == [
+            "epoch", "1", "2", "3"]
+        assert (load_checkpoint(whole / "checkpoint.danc").epoch,
+                load_checkpoint(whole / "last.danc").lr) == (2, 0.05)
 
     def test_resume_without_checkpoint_exits_2(self, workspace, tmp_path):
         rc = main(["train", "--manifest", str(workspace / "mix" / "manifest.jsonl"),

@@ -345,7 +345,8 @@ def test_e_step_matches_scipy_log_densities():
     model = GmmModel(weights / weights.sum(), rng.normal(size=(k, dim)) * 3,
                      np.stack(covs), 0.0)
     pts = rng.normal(size=(50, dim)) * 2
-    log_resp, lse, _, _ = _e_step(feature_major(pts)[0], model, _EmWork(k, dim, 50))
+    centred = feature_major(pts)[0] - model.means[:, :, None]
+    log_resp, lse, _, _ = _e_step(centred, model, _EmWork(k, dim, 50))
     expected = np.stack([np.log(model.weights[c])
                          + multivariate_normal.logpdf(pts, model.means[c], covs[c])
                          for c in range(k)])

@@ -15,7 +15,6 @@ from danet.pipeline import (
     AdamState,
     Checkpoint,
     HyperParams,
-    LrSchedule,
     TrainLog,
     adam_step,
     load_checkpoint,
@@ -137,28 +136,42 @@ class TestHyperParams:
 
 
 class TestLrSchedule:
+    """Checkpoint.end_epoch halves the rate on validation plateaus."""
+
+    def schedule(self, lr0, patience, lr_min):
+        params = init_params(TINY_ARCH, 0)
+        ckpt = Checkpoint(params, AdamState.zeros(params), StftConfig(), 8000, epoch=0,
+                          lr=lr0, best_val_loss=np.inf)
+        return ckpt, HyperParams(lr0=lr0, lr_halve_patience=patience, lr_min=lr_min)
+
     def test_flat_losses_halve_after_patience(self):
-        sched = LrSchedule(1e-3, patience=3, lr_min=1e-6)
+        sched, hyper = self.schedule(1e-3, patience=3, lr_min=1e-6)
         lrs = []
-        for loss in [5.0, 5.0, 5.0, 5.0]:
-            sched.update(loss)
+        for epoch, loss in enumerate([5.0, 5.0, 5.0, 5.0], 1):
+            sched.end_epoch(epoch, loss, hyper)
             lrs.append(sched.lr)
         assert lrs == [1e-3, 1e-3, 1e-3, 5e-4]
 
     def test_improvement_resets_counter(self):
-        sched = LrSchedule(1e-3, patience=2, lr_min=1e-6)
-        for loss in [5.0, 4.0, 4.0, 3.0, 3.0]:
-            sched.update(loss)
+        sched, hyper = self.schedule(1e-3, patience=2, lr_min=1e-6)
+        for epoch, loss in enumerate([5.0, 4.0, 4.0, 3.0, 3.0], 1):
+            sched.end_epoch(epoch, loss, hyper)
         assert sched.lr == 1e-3
 
     def test_never_below_min_and_never_increases(self):
-        sched = LrSchedule(1e-3, patience=1, lr_min=1e-4)
+        sched, hyper = self.schedule(1e-3, patience=1, lr_min=1e-4)
         history = []
-        for _ in range(20):
-            sched.update(9.9)
+        for epoch in range(1, 21):
+            sched.end_epoch(epoch, 9.9, hyper)
             history.append(sched.lr)
         assert history == sorted(history, reverse=True)
         assert history[-1] == 1e-4
+
+    def test_end_epoch_records_the_epoch_and_reports_a_new_best(self):
+        sched, hyper = self.schedule(1e-3, patience=2, lr_min=1e-6)
+        assert [sched.end_epoch(e, loss, hyper)
+                for e, loss in enumerate([5.0, 6.0, 4.0], 1)] == [True, False, True]
+        assert (sched.epoch, sched.best_val_loss, sched.epochs_since_best) == (3, 4.0, 0)
 
 
 class TestCheckpointIO:
@@ -219,8 +232,9 @@ class TestCheckpointIO:
         params.feat_mean, params.feat_std = np.zeros(5), np.ones(5)
         full = tmp_path / "full.danc"
         save_checkpoint(Checkpoint(params=params, adam=AdamState.zeros(params),
-                                   stft_cfg=StftConfig(), sample_rate=8000, epoch=1,
-                                   best_val_loss=1.0, lr=1e-3), full)
+                                   stft_cfg=StftConfig(win_len=8, hop=2, fft_size=8),
+                                   sample_rate=8000, epoch=1, best_val_loss=1.0, lr=1e-3),
+                        full)
         blob = full.read_bytes()
         path = tmp_path / "cut.danc"
         path.write_bytes(blob)
@@ -341,6 +355,22 @@ class TestCheckpointIO:
         with pytest.raises(ValueError, match=r"c\.danc: truncated checkpoint \(the file shrank"):
             load_checkpoint(path)
 
+    def test_input_dim_other_than_the_stft_bins_refused_with_path(self, tmp_path):
+        path = tmp_path / "c.danc"
+        save_checkpoint(self.fresh(), path)
+        blob = path.read_bytes()
+        assert blob.count(b"stft.fft_size=256\n") == 1
+        path.write_bytes(blob.replace(b"stft.fft_size=256\n", b"stft.fft_size=512\n"))
+        with pytest.raises(ValueError,
+                           match=r"c\.danc: arch\.input_dim=129 .*num_freqs=257"):
+            load_checkpoint(path)
+
+    def test_checkpoint_refuses_input_dim_other_than_the_stft_bins(self):
+        params = init_params(TINY_ARCH, 0)
+        with pytest.raises(ValueError, match=r"arch\.input_dim=129 .*num_freqs=257"):
+            Checkpoint(params, AdamState.zeros(params), StftConfig(fft_size=512), 8000,
+                       epoch=0, lr=1e-3, best_val_loss=np.inf)
+
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "c.danc"
         save_checkpoint(self.fresh(), path)
@@ -391,6 +421,13 @@ class TestTrain:
                             lambda path: pytest.fail(f"read {path} before refusing"))
         with pytest.raises(ValueError, match=r"geometry .*hop=32.* != .*hop=64"):
             train(tiny_dataset, tiny_hyper(epochs=1), TINY_ARCH, resume_from=part.last)
+
+    def test_input_dim_other_than_the_stft_bins_refused_before_reading(self, tiny_dataset,
+                                                                        monkeypatch):
+        monkeypatch.setattr(pipeline, "read_wav",
+                            lambda path: pytest.fail(f"read {path} before refusing"))
+        with pytest.raises(ValueError, match=r"arch\.input_dim=129 .*num_freqs=257"):
+            train(tiny_dataset, tiny_hyper(), TINY_ARCH, StftConfig(fft_size=512))
 
     def test_single_utterance_overfit(self, tiny_dataset):
         # Toy net driven hard on one short mixture: loss collapses below 1%
