@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 import scipy
 
-from danet.bsseval import EvalConfig, evaluate_set
 from danet import cli
+from danet.bsseval import EvalConfig, evaluate_set
 from danet.cli import DEFAULTS, echo_config, load_config, main
 from danet.dsp import StftConfig, Waveform, read_wav, write_wav
 from danet.network import ArchSpec, count_params, finite_difference_check
