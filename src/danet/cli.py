@@ -234,7 +234,15 @@ def cmd_train(cfg: dict, args) -> CommandOutcome:
             raise ConfigError(f"--resume: no checkpoint at {last_path}")
         resume_from = load_checkpoint(last_path)
 
+    config_pending = True
+
     def progress(row, ckpt, is_best):
+        # The first call comes after train()'s checks, so a killed run keeps
+        # its config and a refused resume leaves the earlier run's in place.
+        nonlocal config_pending
+        if config_pending:
+            echo_config(cfg, out_dir / "effective_config.txt")
+            config_pending = False
         # Every epoch leaves a resumable run: the best checkpoint, the log row
         # (epoch 1 starts a fresh run's log) and last, which --resume reads.
         if is_best:
@@ -246,7 +254,6 @@ def cmd_train(cfg: dict, args) -> CommandOutcome:
 
     result = train(args.manifest, hyper, arch, stft_cfg=_build(StftConfig, cfg, "stft"),
                    resume_from=resume_from, progress=progress)
-    echo_config(cfg, out_dir / "effective_config.txt")
     # A resumed run that never beat its earlier best left that checkpoint be.
     where = ("from before the resume (checkpoint kept)" if result.best is None
              else f"at epoch {result.best.epoch}")

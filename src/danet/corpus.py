@@ -2,7 +2,6 @@
 JSONL manifests, and a synthetic harmonic-speaker corpus for desk-scale runs."""
 
 import json
-import wave as wavefile
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -84,7 +83,7 @@ def scan_corpus(root) -> SpeakerTable:
         for wav_path in sorted(spk_dir.glob("*.wav")):
             try:
                 ints, rate = read_pcm16(wav_path)
-            except (ValueError, wavefile.Error, EOFError) as exc:
+            except ValueError as exc:
                 skipped.append((str(wav_path), str(exc)))
                 continue
             if ints.size == 0:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import firwin, kaiserord
 
 SAMPLE_RATE = 8000
 FEATURE_FLOOR_EPS = 1e-7
@@ -187,11 +186,20 @@ def feature_stats(feature_mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarra
 
 @lru_cache(maxsize=1)
 def decimation_taps() -> np.ndarray:
-    """Kaiser-windowed sinc low-pass used by decimate2 (odd length, unit DC gain)."""
-    numtaps, beta = kaiserord(DECIM_STOP_ATTEN_DB,
-                              DECIM_TRANSITION_HZ / (DECIM_INPUT_RATE / 2))
-    numtaps |= 1
-    return firwin(numtaps, DECIM_CUTOFF_HZ, window=("kaiser", beta), fs=DECIM_INPUT_RATE)
+    """Kaiser-windowed sinc low-pass used by decimate2 (odd length, unit DC gain).
+
+    Kaiser's design rule for a stop-band attenuation A above 50 dB sets the
+    window's beta = 0.1102 (A - 8.7) and its length from the transition
+    width, in the operation order of scipy.signal's kaiserord and firwin.
+    """
+    nyquist = DECIM_INPUT_RATE / 2
+    beta = 0.1102 * (DECIM_STOP_ATTEN_DB - 8.7)
+    numtaps = math.ceil((DECIM_STOP_ATTEN_DB - 7.95) / 2.285
+                        / (np.pi * (DECIM_TRANSITION_HZ / nyquist)) + 1) | 1
+    cutoff = DECIM_CUTOFF_HZ / nyquist
+    m = np.arange(numtaps) - 0.5 * (numtaps - 1)
+    taps = cutoff * np.sinc(cutoff * m) * np.kaiser(numtaps, beta)
+    return taps / taps.sum()
 
 
 def decimate2(wave: Waveform) -> Waveform:
@@ -225,14 +233,25 @@ def write_wav(path, wave: Waveform) -> None:
 
 
 def read_pcm16(path) -> tuple[np.ndarray, int]:
-    """Raw int16 samples and sample rate; rejects non-mono / non-16-bit files."""
-    with wavefile.open(str(path), "rb") as fh:
+    """Raw int16 samples and sample rate; rejects non-mono / non-16-bit files
+    and a file cut short, in its header or its data chunk."""
+    try:
+        fh = wavefile.open(str(path), "rb")
+    except EOFError as exc:
+        raise ValueError(f"{path}: truncated WAV, the file ends inside its header") from exc
+    except wavefile.Error as exc:
+        raise ValueError(f"{path}: not a PCM WAV ({exc})") from exc
+    with fh:
         if fh.getnchannels() != 1:
             raise ValueError(f"{path}: expected mono, got {fh.getnchannels()} channels")
         if fh.getsampwidth() != 2:
             raise ValueError(f"{path}: expected 16-bit PCM, got {8 * fh.getsampwidth()}-bit")
         rate = fh.getframerate()
-        data = fh.readframes(fh.getnframes())
+        n_frames = fh.getnframes()
+        data = fh.readframes(n_frames)
+    if len(data) != 2 * n_frames:
+        raise ValueError(f"{path}: truncated WAV, the header declares {n_frames} frames "
+                         f"but the data chunk holds {len(data) // 2}")
     return np.frombuffer(data, dtype="<i2"), rate
 
 

@@ -37,8 +37,9 @@ def wiener_like_masks(source_mags: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def binarize(mask: np.ndarray) -> np.ndarray:
-    """Threshold a soft mask at IBM_THRESHOLD, strictly; exact ties go to 0."""
-    return (np.asarray(mask, dtype=np.float64) > IBM_THRESHOLD).astype(np.float64)
+    """Threshold a soft mask at IBM_THRESHOLD, strictly, into a bool mask (an
+    eighth of float64's memory); exact ties go to False."""
+    return np.asarray(mask, dtype=np.float64) > IBM_THRESHOLD
 
 
 def apply_mask(spec: ComplexSpectrogram, mask: np.ndarray) -> ComplexSpectrogram:

@@ -305,7 +305,7 @@ class TrainLog:
 class _Utterance(NamedTuple):
     features: np.ndarray          # log magnitude, F x T; train() standardizes it in place
     mix_mag: np.ndarray           # linear magnitude, F x T
-    masks: list[np.ndarray]       # binary ideal masks, F x T each
+    masks: list[np.ndarray]       # binary ideal masks, bool F x T each
 
 
 @dataclass
@@ -324,7 +324,8 @@ def mixture_masks(mix: Waveform, sources: list[Waveform], cfg: StftConfig):
 
 
 def _load_split(records: list[corpus_mod.MixtureRecord], cfg: StftConfig) -> list[_Utterance]:
-    """Each mixture's log features, magnitude and binary ideal masks."""
+    """Each mixture's log features, magnitude and binary ideal masks (bool;
+    each batch writes them into its float64 targets as exact 0.0 and 1.0)."""
     def read(path) -> Waveform:
         wave = read_wav(path)
         if wave.sample_rate != SAMPLE_RATE:

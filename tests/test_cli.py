@@ -1,7 +1,13 @@
 """Command-line interface tests (exit codes, artifacts, reproducibility)."""
 
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 import wave as wavefile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +19,14 @@ from danet.cli import DEFAULTS, echo_config, load_config, main
 from danet.dsp import StftConfig, Waveform, read_wav, write_wav
 from danet.network import ArchSpec, count_params, finite_difference_check
 from danet.pipeline import load_checkpoint
+
+
+def subprocess_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +170,54 @@ class TestTrainCommand:
             "epoch", "1", "2", "3"]
         assert (load_checkpoint(whole / "checkpoint.danc").epoch,
                 load_checkpoint(whole / "last.danc").lr) == (2, 0.05)
+
+    def test_refused_resume_keeps_the_earlier_config(self, workspace, tmp_path):
+        args = ["train", "--manifest", str(workspace / "mix" / "manifest.jsonl"),
+                "--out", str(tmp_path / "run"), "--epochs", "1", "--batch-size", "4",
+                "--layers", "1", "--hidden", "8", "--embed-dim", "4", "--seed", "2"]
+        assert main(["--set", "stft.hop=32", *args]) == 0
+        config = (tmp_path / "run" / "effective_config.txt").read_bytes()
+        assert b"stft.hop=32\n" in config
+        assert main([*args, "--resume"]) == 1
+        assert (tmp_path / "run" / "effective_config.txt").read_bytes() == config
+
+    def test_killed_subprocess_resumes_to_the_same_files(self, tmp_path):
+        # 30 training mixtures of 2 s, so an epoch far outlasts the polling.
+        assert main(["synth", "--out", str(tmp_path / "corpus"), "--speakers", "6",
+                     "--utts", "8", "--dur", "2.0", "--seed", "2"]) == 0
+        assert main(["mix", "--corpus", str(tmp_path / "corpus"),
+                     "--out", str(tmp_path / "mix"), "--train-min", "1.0",
+                     "--valid-min", "0.1", "--test-min", "0", "--seed", "2"]) == 0
+        args = ["train", "--manifest", str(tmp_path / "mix" / "manifest.jsonl"),
+                "--batch-size", "4", "--layers", "1", "--hidden", "8", "--embed-dim", "4",
+                "--seed", "3"]
+        whole, cut = tmp_path / "whole", tmp_path / "cut"
+        assert main([*args, "--out", str(whole), "--epochs", "3"]) == 0
+
+        child = subprocess.Popen(
+            [sys.executable, "-m", "danet.cli", *args, "--out", str(cut), "--epochs", "3"],
+            env=subprocess_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            # last.danc follows the epoch-1 row, so epoch 1 is then resumable.
+            deadline = time.monotonic() + 120
+            while not (cut / "last.danc").is_file():
+                assert child.poll() is None, child.stderr.read()
+                assert time.monotonic() < deadline, "no epoch finished in 120 s"
+                time.sleep(0.002)
+            child.kill()
+            assert child.wait(timeout=30) == -signal.SIGKILL
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+            child.stderr.close()
+
+        assert (cut / "effective_config.txt").is_file()
+        k = load_checkpoint(cut / "last.danc").epoch
+        assert 1 <= k < 3
+        assert len((cut / "trainlog.csv").read_text().splitlines()) >= 1 + k
+        assert main([*args, "--out", str(cut), "--epochs", str(3 - k), "--resume"]) == 0
+        for name in ("checkpoint.danc", "last.danc"):
+            assert (cut / name).read_bytes() == (whole / name).read_bytes(), name
 
     def test_resume_without_checkpoint_exits_2(self, workspace, tmp_path):
         rc = main(["train", "--manifest", str(workspace / "mix" / "manifest.jsonl"),
@@ -369,3 +431,12 @@ class TestConfigPlumbing:
         assert rc == 2
         assert "separate.cluster" in capsys.readouterr().err
         assert not list(tmp_path.glob("*_spk*.wav"))
+
+
+def test_package_import_leaves_scipy_signal_unloaded():
+    # scipy.signal alone added about 43 MB and 1 s to every danet process.
+    code = ("import sys, danet.cli, danet.pipeline, danet.bsseval; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

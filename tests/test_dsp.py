@@ -18,9 +18,11 @@ from danet.dsp import (
     make_sqrt_hann,
     phase,
     quantize_pcm16,
+    read_pcm16,
     read_wav,
     standardize,
     stft,
+    write_pcm16,
     write_wav,
 )
 
@@ -242,6 +244,16 @@ class TestDecimate2:
         n = np.arange(taps.size)
         return abs(np.sum(taps * np.exp(-2j * np.pi * freq * n / 16000)))
 
+    def test_taps_equal_scipy_kaiser_design(self):
+        # scipy.signal is the oracle only; the package designs the taps in numpy.
+        from scipy.signal import firwin, kaiserord
+
+        numtaps, beta = kaiserord(65.0, 800.0 / 8000.0)
+        expected = firwin(numtaps | 1, 3600.0, window=("kaiser", beta), fs=16000)
+        taps = decimation_taps()
+        assert taps.shape == expected.shape == (81,)
+        assert np.allclose(taps, expected, rtol=0, atol=1e-15)
+
     def test_wrong_rate_rejected(self):
         with pytest.raises(ValueError, match="16000"):
             decimate2(Waveform(np.zeros(100), 8000))
@@ -300,3 +312,23 @@ class TestWavIO:
             fh.writeframes(b"\x00\x00" * 64)
         with pytest.raises(ValueError, match="mono"):
             read_wav(path)
+
+    @pytest.mark.parametrize("keep_bytes, reason", [
+        (1544, "the header declares 1000 frames but the data chunk holds 750"),
+        (1543, "the header declares 1000 frames but the data chunk holds 749"),
+        (30, "the file ends inside its header"),
+        (0, "the file ends inside its header")])
+    def test_truncated_file_rejected_with_path(self, tmp_path, keep_bytes, reason):
+        # Of a 2044-byte file: an even cut once read short in silence, an odd
+        # one failed in numpy, and a cut header raised a bare EOFError.
+        path = tmp_path / "cut.wav"
+        write_pcm16(path, np.arange(1000, dtype=np.int16), 8000)
+        path.write_bytes(path.read_bytes()[:keep_bytes])
+        with pytest.raises(ValueError, match=rf"cut\.wav: truncated WAV, {reason}$"):
+            read_pcm16(path)
+
+    def test_non_wav_rejected_with_path(self, tmp_path):
+        path = tmp_path / "notes.wav"
+        path.write_bytes(b"these are not audio samples, just text" * 4)
+        with pytest.raises(ValueError, match=r"notes\.wav: not a PCM WAV"):
+            read_pcm16(path)

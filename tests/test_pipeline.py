@@ -429,6 +429,21 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"arch\.input_dim=129 .*num_freqs=257"):
             train(tiny_dataset, tiny_hyper(), TINY_ARCH, StftConfig(fft_size=512))
 
+    def test_split_masks_are_bool_and_train_as_float_ones_do(self, tiny_dataset):
+        import danet.corpus as corpus_mod
+        from danet.network import batch_loss_and_grads
+
+        records = [r for r in corpus_mod.load_manifest(tiny_dataset) if r.split == "train"]
+        features, mags, masks = zip(*pipeline._load_split(records[:4], StftConfig()))
+        assert all(m.dtype == np.bool_ for ms in masks for m in ms)
+        as_float = [[m.astype(np.float64) for m in ms] for ms in masks]
+        params = init_params(TINY_ARCH, 7)
+        loss, grads = batch_loss_and_grads(features, mags, masks, params)
+        loss_f, grads_f = batch_loss_and_grads(features, mags, as_float, params)
+        assert loss == loss_f
+        for name in grads_f:
+            assert np.array_equal(grads[name], grads_f[name]), name
+
     def test_single_utterance_overfit(self, tiny_dataset):
         # Toy net driven hard on one short mixture: loss collapses below 1%
         # of its first-epoch value within 200 epochs.
