@@ -17,6 +17,7 @@ within each frame). An F x T matrix M flattens to that layout via
 M.ravel(order="F").
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,31 +135,80 @@ def init_params(arch: ArchSpec, seed: int) -> ModelParams:
     return ModelParams(arch, tensors)
 
 
-def gru_cell(x: np.ndarray, h_prev: np.ndarray, cell: dict[str, np.ndarray]) -> np.ndarray:
-    """One GRU step.
+# Buffers that reuse another buffer's memory, each written only once the
+# owner's contents are dead: BPTT's per-step gradients (drec), and after
+# them their input-side copy (flat_a), reuse the forward's projections (a);
+# the recurrent-side copy (flat_rec) reuses BPTT's factors (fac), as the
+# forward's projection before its reordering (proj) does; the input gradient
+# (dx) reuses [d_new, dan] (gdan), and h_prev the output gradient (d).
+_HOME = {"drec": "a", "flat_a": "a", "flat_rec": "fac", "proj": "fac", "dx": "gdan",
+         "h_prev": "d"}
 
-    z = sig(W_z x + U_z h + b_iz + b_hz), r likewise,
-    n = tanh(W_n x + b_in + r * (U_n h + b_hn)), out = (1-z)*n + z*h.
+
+def _buffer_shapes(arch: ArchSpec, B: int, T: int, keep_cache: bool) -> dict[str, tuple]:
+    """Name -> shape of each workspace buffer a (B, T) batch uses.
+
+    Time-major buffers are (T, [slot,] 2, B, h): step t holds the fw
+    direction at frame t and the bw direction at frame T-1-t, and a slot
+    axis ahead of the direction keeps each gate's (2, B, h) block
+    contiguous. Layer caches are per layer when BPTT needs them; a
+    forward-only pass shares one set across layers and alternates two
+    output buffers.
     """
-    h = h_prev.shape[-1]
-    if x.shape[-1] != cell["W"].shape[1] or 3 * h != cell["U"].shape[0]:
-        raise ValueError(f"dimension mismatch: x {x.shape}, h_prev {h_prev.shape}, "
-                         f"W {cell['W'].shape}, U {cell['U'].shape}")
-    a = x @ cell["W"].T + cell["b_i"]
-    rec = h_prev @ cell["U"].T + cell["b_h"]
-    z = _sigmoid(a[..., :h] + rec[..., :h])
-    r = _sigmoid(a[..., h:2 * h] + rec[..., h:2 * h])
-    n = np.tanh(a[..., 2 * h:] + r * rec[..., 2 * h:])
-    return (1.0 - z) * n + z * h_prev
+    h = arch.hidden_per_direction
+    step = (2, B, h)
+    tm = (T,) + step
+    shapes = {"a": (T, 3) + step, "proj": (B, T, 3 * h), "mask": (T, 2, B, 1),
+              "unmask": (T, 2, B, 1), "h_zero": step, "b_h": (2, B, 3 * h),
+              "rec": (2, B, 3 * h), "n_in": step, "keep": step, "new": step}
+    num_layers = arch.num_layers
+    for slot in range(num_layers if keep_cache else 1):
+        shapes |= {f"gates{slot}": (T, 4) + step, f"h{slot}": tm}  # z, r, rn, n
+    for slot in range(num_layers if keep_cache else min(num_layers, 2)):
+        shapes[f"out{slot}"] = (B, T, 2 * h)
+    if keep_cache:
+        shapes |= {"d": tm, "gdan": (T, 2) + step, "fac": (T, 3) + step,
+                   "drec": (T, 2, B, 3 * h), "flat_rec": (2, B, T, 3 * h),
+                   "flat_a": (2, B, T, 3 * h), "h_prev": (2, B, T, h),
+                   "dx": (2, B, T, 2 * h), "carry": step, "g": step, "d_hp": step,
+                   "leak": step, "chain": (2,) + step}
+    return shapes
 
 
-def _reverse_bw(pair) -> np.ndarray:
-    """Stack a (fw, bw) pair of (B, T, ...) arrays with the bw time axis reversed.
+class Workspace:
+    """Buffers the BGRU passes write into, reused by every call given it.
 
-    The bw direction runs forward in time over the reversed sequence; this
-    maps between that order and the original one in either direction.
+    Each buffer is one flat float64 array, and a call takes C-contiguous
+    views of its own (B, T) shapes from the front of it, so each view has the
+    layout a fresh array of that shape would have. A buffer too small for a
+    call is replaced by a larger one, so a workspace made for the largest
+    batch of a run allocates nothing after it is made. No array a public
+    function returns is a view of a workspace.
     """
-    return np.stack((pair[0], pair[1][:, ::-1]))
+
+    def __init__(self, arch: ArchSpec | None = None, batch: int = 0, frames: int = 0):
+        self._flat: dict[str, np.ndarray] = {}
+        if arch is not None:
+            self.take(arch, batch, frames, keep_cache=True)
+
+    def take(self, arch: ArchSpec, B: int, T: int, keep_cache: bool) -> dict[str, np.ndarray]:
+        shapes = _buffer_shapes(arch, B, T, keep_cache)
+        need: dict[str, int] = {}
+        for name, shape in shapes.items():
+            home = _HOME.get(name, name)
+            need[home] = max(need.get(home, 0), math.prod(shape))
+        for home, size in need.items():
+            if home not in self._flat or self._flat[home].size < size:
+                self._flat[home] = np.zeros(size)  # "h_zero" relies on the zeros
+        return {name: self._flat[_HOME.get(name, name)][:math.prod(shape)].reshape(shape)
+                for name, shape in shapes.items()}
+
+
+def _batch_major(tm: np.ndarray, fw: np.ndarray, bw: np.ndarray) -> None:
+    """Copy a time-major (T, 2, B, .) buffer into (B, T, .) fw and bw views,
+    the bw half back in original time order."""
+    fw[...] = tm[:, 0].transpose(1, 0, 2)
+    bw[...] = tm[::-1, 1].transpose(1, 0, 2)
 
 
 def _stacked_cell(params: ModelParams, layer: int):
@@ -167,115 +217,189 @@ def _stacked_cell(params: ModelParams, layer: int):
     return [np.stack([cell[k] for cell in cells]) for k in CELL_TENSORS]
 
 
-def _run_layer(x_seq: np.ndarray, frame_mask: np.ndarray, params: ModelParams, layer: int,
-               keep_cache: bool):
-    """Run both GRU directions of one layer over a padded batch in one time loop.
+def _time_steps(frame_mask: np.ndarray, bufs: dict[str, np.ndarray]):
+    """Per step: whether every row is valid in both directions, then the
+    (T, 2, B, 1) frame mask m and 1 - m in time-major order."""
+    mask, unmask = bufs["mask"], bufs["unmask"]
+    mask[:, 0, :, 0] = frame_mask.T
+    mask[:, 1, :, 0] = frame_mask[:, ::-1].T
+    np.subtract(1.0, mask, out=unmask)
+    valid = frame_mask.all(axis=0)
+    return (valid & valid[::-1]).tolist(), mask, unmask
 
-    State and activations are stacked (2, B, ...) over DIRECTIONS, the bw half
-    in reversed time. Padded steps (frame_mask 0) carry the hidden state
-    through unchanged, so the bw direction of a short utterance starts from
-    zeros at its true last frame rather than from padding.
-    Returns the (B, T, 2h) output and, with keep_cache, the cache for
-    `_backward_layer` (else None).
+
+def _gates(interleaved: np.ndarray) -> np.ndarray:
+    """A (..., 2, B, 3h) array of [z | r | n] rows as a (..., 3, 2, B, h) view."""
+    *lead, two, B, width = interleaved.shape
+    gated = interleaved.reshape(*lead, two, B, 3, width // 3)
+    return np.moveaxis(gated, -2, len(lead))
+
+
+def _run_layer(x_seq: np.ndarray, cell, steps, bufs: dict[str, np.ndarray], slot: int,
+               out: np.ndarray) -> None:
+    """Run both GRU directions of one layer over a padded batch in one time loop,
+    writing the (B, T, 2h) output into `out` and the cache into slot `slot`.
+
+    The bw direction runs over the reversed sequence. Padded steps (frame
+    mask 0) carry the hidden state through unchanged, so the bw direction of
+    a short utterance starts from zeros at its true last frame. A step where
+    every row is valid in both directions skips that blend m h' + (1-m) h,
+    which with m = 1 only adds a zero. Every value is computed by the same
+    operations on the same operands as in a fresh-array loop, so the bits do
+    not depend on the workspace.
     """
-    W, U, b_i, b_h = _stacked_cell(params, layer)
-    B, T, _ = x_seq.shape
+    W, U, b_i, b_h = cell
     h_dim = U.shape[2]
-    a_in = _reverse_bw([x_seq @ W[d].T + b_i[d] for d in range(2)])
-    mask = _reverse_bw((frame_mask, frame_mask))[..., None]
-    U_T = U.transpose(0, 2, 1)
-    b_h = b_h[:, None, :]
+    full, mask, unmask = steps
+    a, proj = bufs["a"], bufs["proj"]  # a: input projections, (T, gate, 2, B, h)
+    B, T, _ = proj.shape
+    for d in range(2):
+        np.matmul(x_seq, W[d].T, out=proj)
+        rows = proj[:, ::-1] if d else proj  # the bw half in reversed time
+        a[:, :, d] = rows.reshape(B, T, 3, h_dim).transpose(1, 2, 0, 3)
+    a += _gates(b_i[:, None, :])
+    a_zr, a_n = a[:, :2], a[:, 2]
+    bias = bufs["b_h"]
+    bias[...] = b_h[:, None, :]
+    U_T = U.transpose(0, 2, 1)  # a transposed view: OpenBLAS's kernel choice rides on it
 
-    h_seq = np.empty((2, B, T, h_dim))
-    if keep_cache:
-        z, r, n, rn = (np.empty((2, B, T, h_dim)) for _ in range(4))
-    h = np.zeros((2, B, h_dim))
-    for t in range(T):
-        rec = h @ U_T + b_h
-        z_t = _sigmoid(a_in[:, :, t, :h_dim] + rec[..., :h_dim])
-        r_t = _sigmoid(a_in[:, :, t, h_dim:2 * h_dim] + rec[..., h_dim:2 * h_dim])
-        rn_t = rec[..., 2 * h_dim:]
-        n_t = np.tanh(a_in[:, :, t, 2 * h_dim:] + r_t * rn_t)
-        h_new = (1.0 - z_t) * n_t + z_t * h
-        m = mask[:, :, t]
-        if keep_cache:
-            z[:, :, t], r[:, :, t], n[:, :, t], rn[:, :, t] = z_t, r_t, n_t, rn_t
-        h_seq[:, :, t] = h = m * h_new + (1.0 - m) * h
-    out = np.concatenate(_reverse_bw(h_seq), axis=2)
-    return out, ((x_seq, mask, z, r, n, rn, h_seq) if keep_cache else None)
+    gates, h_seq = bufs[f"gates{slot}"], bufs[f"h{slot}"]
+    zrn, zr = gates[:, :3], gates[:, :2]
+    z, r, rn, n = gates.transpose(1, 0, 2, 3, 4)
+    rec, n_in, keep, new = (bufs[k] for k in ("rec", "n_in", "keep", "new"))
+    rec_g = _gates(rec)
+    h = bufs["h_zero"]
+    for t in range(len(full)):
+        np.matmul(h, U_T, out=rec)
+        rec += bias
+        zrn[t] = rec_g  # z and r pre-activations less a, and rn
+        zr[t] += a_zr[t]
+        _sigmoid(zr[t], out=zr[t])
+        np.multiply(r[t], rn[t], out=n_in)
+        n_in += a_n[t]
+        np.tanh(n_in, out=n[t])
+        h_new = h_seq[t] if full[t] else new
+        np.subtract(1.0, z[t], out=keep)
+        keep *= n[t]
+        np.multiply(z[t], h, out=h_new)
+        np.add(keep, h_new, out=h_new)
+        if not full[t]:
+            new *= mask[t]
+            np.multiply(unmask[t], h, out=keep)
+            np.add(new, keep, out=h_seq[t])
+        h = h_seq[t]
+    _batch_major(h_seq, out[..., :h_dim], out[..., h_dim:])
 
 
-def _backward_layer(d_out: np.ndarray, params: ModelParams, layer: int, cache):
+def _backward_layer(x_seq: np.ndarray, cell, steps, bufs: dict[str, np.ndarray], layer: int,
+                    input_grad: bool) -> dict[str, np.ndarray]:
     """BPTT through both directions of one layer in one reverse-time loop.
 
-    Returns d loss / d layer input and the layer's W/U/b_i/b_h gradients by
-    tensor name.
+    Reads d loss / d output from the time-major "d" buffer and, with
+    input_grad, leaves d loss / d layer input there. Consumes the layer's
+    cache (n becomes h_prev - n). Returns the W/U/b_i/b_h gradients by tensor
+    name. Each product keeps the left-to-right order of the per-step
+    formulas, and gates that share a factor are multiplied in one call. The
+    factors 1-z, 1-r, 1-n^2 and h_prev - n are elementwise, so forming them
+    for all steps at once changes no bit.
     """
-    x_seq, mask, z, r, n, rn, h_seq = cache
-    W, U, _, _ = _stacked_cell(params, layer)
-    _, B, T, h_dim = h_seq.shape
-    d_out = _reverse_bw(np.split(d_out, 2, axis=2))
-    h_prev = np.zeros_like(h_seq)  # state seen as input at each step
-    h_prev[:, :, 1:] = h_seq[:, :, :-1]
-    d_rec = np.empty((2, B, T, 3 * h_dim))  # pre-activation grads, recurrent side (z, r, n)
-    d_an = np.empty((2, B, T, h_dim))       # input-side n; its z and r equal d_rec's
+    W, U, _, _ = cell
+    full, mask, unmask = steps
+    gates, h_seq = bufs[f"gates{layer}"], bufs[f"h{layer}"]
+    T, _, B, h_dim = h_seq.shape
+    zr = gates[:, :2]
+    z, r, _, n = gates.transpose(1, 0, 2, 3, 4)
+    hpn_rn = gates[:, 3:1:-1]  # [n, rn], then [h_prev - n, rn]
+    fac = bufs["fac"]  # [1-z, 1-r, 1-n^2]
+    omzr, omz, omn2 = fac[:, :2], fac[:, 0], fac[:, 2]
+    np.subtract(1.0, zr, out=omzr)
+    np.multiply(n, n, out=omn2)
+    np.subtract(1.0, omn2, out=omn2)
+    np.subtract(h_seq[:-1], n[1:], out=n[1:])  # h_prev is zeros at step 0
+    np.subtract(0.0, n[0], out=n[0])
 
-    carry = np.zeros((2, B, h_dim))
+    d, gdan, drec = bufs["d"], bufs["gdan"], bufs["drec"]
+    d_new, dan = gdan[:, 0], gdan[:, 1]
+    drec_zr, drec_n = _gates(drec)[:, :2], _gates(drec)[:, 2]  # [z | r | n] rows
+    carry, g, d_hp, leak, chain = (bufs[k] for k in ("carry", "g", "d_hp", "leak", "chain"))
+    carry.fill(0.0)
     for t in range(T - 1, -1, -1):
-        g = d_out[:, :, t] + carry
-        m = mask[:, :, t]
-        d_new = g * m
-        z_t, r_t, n_t, rn_t = z[:, :, t], r[:, :, t], n[:, :, t], rn[:, :, t]
+        if full[t]:
+            np.add(d[t], carry, out=d_new[t])
+            np.multiply(d_new[t], z[t], out=d_hp)
+        else:
+            np.add(d[t], carry, out=g)
+            np.multiply(g, mask[t], out=d_new[t])
+            np.multiply(d_new[t], z[t], out=d_hp)
+            d_hp += np.multiply(g, unmask[t], out=leak)
+        np.multiply(d_new[t], omz[t], out=dan[t])
+        dan[t] *= omn2[t]
+        np.multiply(gdan[t], hpn_rn[t], out=chain)  # z and r pre-activation grads
+        chain *= zr[t]
+        np.multiply(chain, omzr[t], out=drec_zr[t])
+        np.multiply(dan[t], r[t], out=drec_n[t])
+        np.matmul(drec[t], U, out=carry)
+        carry += d_hp
 
-        d_hp = d_new * z_t + g * (1.0 - m)
-        dan = d_an[:, :, t] = d_new * (1.0 - z_t) * (1.0 - n_t * n_t)
-        d_rec[:, :, t, :h_dim] = d_new * (h_prev[:, :, t] - n_t) * z_t * (1.0 - z_t)
-        d_rec[:, :, t, h_dim:2 * h_dim] = dan * rn_t * r_t * (1.0 - r_t)
-        d_rec[:, :, t, 2 * h_dim:] = dan * r_t
-        carry = d_hp + d_rec[:, :, t] @ U
-
-    # Back to the original time order, so the sums over time match a
-    # reverse-time bw loop term for term.
-    d_rec, d_an, h_prev = _reverse_bw(d_rec), _reverse_bw(d_an), _reverse_bw(h_prev)
-    d_a = np.concatenate((d_rec[..., :2 * h_dim], d_an), axis=3)
-    flat_a = d_a.reshape(2, B * T, 3 * h_dim)
-    flat_rec = d_rec.reshape(2, B * T, 3 * h_dim)
+    # Batch-major and in original time order, so the sums over (b, t) match
+    # a reverse-time bw loop term for term.
+    flat_rec, flat_a, h_prev = bufs["flat_rec"], bufs["flat_a"], bufs["h_prev"]
+    _batch_major(drec, flat_rec[0], flat_rec[1])
+    flat_a[..., :2 * h_dim] = flat_rec[..., :2 * h_dim]  # input side; its n part is dan
+    _batch_major(dan, flat_a[0, ..., 2 * h_dim:], flat_a[1, ..., 2 * h_dim:])
+    h_prev[0, :, 0] = h_prev[1, :, -1] = 0.0
+    h_prev[0, :, 1:] = h_seq[:-1, 0].transpose(1, 0, 2)
+    h_prev[1, :, :-1] = h_seq[:-1, 1][::-1].transpose(1, 0, 2)
+    rows_a = flat_a.reshape(2, B * T, 3 * h_dim)
+    rows_rec = flat_rec.reshape(2, B * T, 3 * h_dim)
     stacked = {
-        "W": flat_a.transpose(0, 2, 1) @ x_seq.reshape(B * T, -1),
-        "U": flat_rec.transpose(0, 2, 1) @ h_prev.reshape(2, B * T, h_dim),
-        "b_i": flat_a.sum(axis=1),
-        "b_h": flat_rec.sum(axis=1),
+        "W": rows_a.transpose(0, 2, 1) @ x_seq.reshape(B * T, -1),
+        "U": rows_rec.transpose(0, 2, 1) @ h_prev.reshape(2, B * T, h_dim),
+        "b_i": rows_a.sum(axis=1),
+        "b_h": rows_rec.sum(axis=1),
     }
-    grads = {f"l{layer}.{d}.{key}": g[i]
-             for i, d in enumerate(DIRECTIONS) for key, g in stacked.items()}
-    dx_seq = d_a[0] @ W[0] + d_a[1] @ W[1]
-    return dx_seq, grads
+    if input_grad:
+        dx = bufs["dx"]
+        np.matmul(flat_a[0], W[0], out=dx[0])
+        np.matmul(flat_a[1], W[1], out=dx[1])
+        np.add(dx[0, ..., :h_dim], dx[1, ..., :h_dim], out=d[:, 0].transpose(1, 0, 2))
+        np.add(dx[0, :, ::-1, h_dim:], dx[1, :, ::-1, h_dim:], out=d[:, 1].transpose(1, 0, 2))
+    return {f"l{layer}.{d}.{key}": g[i]
+            for i, d in enumerate(DIRECTIONS) for key, g in stacked.items()}
 
 
 def _forward_batch(x: np.ndarray, frame_mask: np.ndarray, params: ModelParams,
-                   keep_cache: bool):
+                   workspace: Workspace | None, keep_cache: bool):
     """The BGRU stack on a padded batch.
 
-    x: (B, T, F) features, frame_mask: (B, T) in {0, 1}.
-    Returns the top layer's output s (B, T, 2h) and the per-layer caches for
-    the backward pass (None each without keep_cache).
+    x: (B, T, F) features, frame_mask: (B, T) in {0, 1}. Returns the top
+    layer's output s (B, T, 2h), a view of the workspace, and what
+    `_backward_layer` needs: each layer's `_stacked_cell`, the per-step masks
+    and the workspace views. Without a workspace the call makes its own.
     """
-    layer_caches = []
+    arch = params.arch
+    B, T, _ = x.shape
+    bufs = (workspace or Workspace()).take(arch, B, T, keep_cache)
+    cells = [_stacked_cell(params, layer) for layer in range(arch.num_layers)]
+    steps = _time_steps(frame_mask, bufs)
     seq = x
-    for layer in range(params.arch.num_layers):
-        seq, layer_cache = _run_layer(seq, frame_mask, params, layer, keep_cache)
-        layer_caches.append(layer_cache)
-    return seq, layer_caches
+    for layer in range(arch.num_layers):
+        out = bufs[f"out{layer if keep_cache else layer % 2}"]
+        _run_layer(seq, cells[layer], steps, bufs, layer if keep_cache else 0, out)
+        seq = out
+    return seq, (cells, steps, bufs)
 
 
-def forward_embed(features: np.ndarray, params: ModelParams) -> np.ndarray:
+def forward_embed(features: np.ndarray, params: ModelParams,
+                  workspace: Workspace | None = None) -> np.ndarray:
     """Embed one utterance: (F, T) features -> V of shape (K, F*T)."""
     features = np.asarray(features, dtype=np.float64)
     if features.shape[0] != params.arch.input_dim:
         raise ValueError(f"expected {params.arch.input_dim} feature rows, "
                          f"got {features.shape[0]}")
     T = features.shape[1]
-    seq, _ = _forward_batch(features.T[None, :, :], np.ones((1, T)), params, keep_cache=False)
+    seq, _ = _forward_batch(features.T[None, :, :], np.ones((1, T)), params, workspace,
+                            keep_cache=False)
     y = seq @ params.tensors["fc.W"].T + params.tensors["fc.b"]
     V = y[0].reshape(T * features.shape[0], params.arch.embed_dim).T
     if not np.all(np.isfinite(V)):
@@ -366,7 +490,8 @@ def _fc_factors(params: ModelParams):
             params.tensors["fc.b"].reshape(F, K).T)
 
 
-def _scored_batch(features, mix_mags, ideal_masks, params: ModelParams, keep_cache: bool):
+def _scored_batch(features, mix_mags, ideal_masks, params: ModelParams,
+                  workspace: Workspace | None, keep_cache: bool):
     """Pad, run the BGRU stack and score a batch: the mean per-utterance loss,
     plus what its gradient needs.
 
@@ -377,7 +502,7 @@ def _scored_batch(features, mix_mags, ideal_masks, params: ModelParams, keep_cac
     over rows (b, i) or over frames.
     """
     x, X, M, frame_mask, n_spk = _pad_batch(features, mix_mags, ideal_masks, params.arch)
-    s, caches = _forward_batch(x, frame_mask, params, keep_cache)
+    s, (cells, steps, bufs) = _forward_batch(x, frame_mask, params, workspace, keep_cache)
     Wk, bk = _fc_factors(params)
     B, _, F, T = M.shape
     m = M.sum(axis=3).reshape(B * n_spk, F)
@@ -397,25 +522,30 @@ def _scored_batch(features, mix_mags, ideal_masks, params: ModelParams, keep_cac
     err = M - m_hat
     count = n_spk * len(features)
     loss = float(np.sum(Xsq[:, None] * err * err)) / count
-    return loss, (caches, s, M, m, mass, P, attractors, G, Xsq, count, m_hat)
+    return loss, (x, cells, steps, bufs, Wk, bk, s, M, m, mass, P, attractors, G, Xsq,
+                  count, m_hat)
 
 
 def batch_loss(features: list[np.ndarray], mix_mags: list[np.ndarray],
-               ideal_masks: list[list[np.ndarray]], params: ModelParams) -> float:
+               ideal_masks: list[list[np.ndarray]], params: ModelParams,
+               workspace: Workspace | None = None) -> float:
     """Mean per-utterance loss over a padded batch, forward pass only."""
-    return _scored_batch(features, mix_mags, ideal_masks, params, keep_cache=False)[0]
+    return _scored_batch(features, mix_mags, ideal_masks, params, workspace,
+                         keep_cache=False)[0]
 
 
 def batch_loss_and_grads(features: list[np.ndarray], mix_mags: list[np.ndarray],
-                         ideal_masks: list[list[np.ndarray]], params: ModelParams):
+                         ideal_masks: list[list[np.ndarray]], params: ModelParams,
+                         workspace: Workspace | None = None):
     """Mean per-utterance loss and its exact parameter gradients.
 
     Utterances are zero-padded to a common frame count; a per-utterance frame
     mask keeps padded frames out of the recurrences and out of the loss.
+    Without a workspace the call makes its own.
     """
-    loss, (caches, s, M, m, mass, P, attractors, G, Xsq, count, m_hat) = _scored_batch(
-        features, mix_mags, ideal_masks, params, keep_cache=True)
-    Wk, bk = _fc_factors(params)
+    loss, (x, cells, steps, bufs, Wk, bk, s, M, m, mass, P, attractors, G, Xsq, count,
+           m_hat) = _scored_batch(features, mix_mags, ideal_masks, params, workspace,
+                                  keep_cache=True)
     B, n_spk, F, T = M.shape
     by_bin = (B, n_spk * F, -1)
 
@@ -438,20 +568,19 @@ def batch_loss_and_grads(features: list[np.ndarray], mix_mags: list[np.ndarray],
 
     d_seq = d_scores.transpose(0, 2, 1) @ G.reshape(by_bin)
     d_seq += M.reshape(by_bin).transpose(0, 2, 1) @ dP.reshape(by_bin)
+    h_dim = params.arch.hidden_per_direction
+    d = bufs["d"]
+    d[:, 0] = d_seq[..., :h_dim].transpose(1, 0, 2)
+    d[:, 1] = d_seq[:, ::-1, h_dim:].transpose(1, 0, 2)
     for layer in range(params.arch.num_layers - 1, -1, -1):
-        d_seq, layer_grads = _backward_layer(d_seq, params, layer, caches[layer])
-        grads.update(layer_grads)
+        x_seq = bufs[f"out{layer - 1}"] if layer else x
+        grads.update(_backward_layer(x_seq, cells[layer], steps, bufs, layer,
+                                     input_grad=layer > 0))
     grads = {name: grads[name] for name in params.tensors}
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for {name}")
     return loss, grads
-
-
-def backward(features: np.ndarray, mix_mag: np.ndarray,
-             ideal_masks: list[np.ndarray], params: ModelParams):
-    """Single-utterance loss and exact gradients for every parameter tensor."""
-    return batch_loss_and_grads([features], [mix_mag], [ideal_masks], params)
 
 
 TINY_NET = ArchSpec(input_dim=5, num_layers=1, hidden_per_direction=4, embed_dim=3)

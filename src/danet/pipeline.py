@@ -30,6 +30,7 @@ from .masking import apply_mask, binarize, wiener_like_masks
 from .network import (
     ArchSpec,
     ModelParams,
+    Workspace,
     batch_loss,
     batch_loss_and_grads,
     clip_grads,
@@ -384,6 +385,9 @@ def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
             chunk = [utts[j] for j in order[i:i + hyper.batch_size]]
             yield len(chunk), *zip(*chunk)
 
+    # One workspace for every batch of the run, sized by the longest.
+    workspace = Workspace(arch, min(hyper.batch_size, max(len(train_utts), len(valid_utts))),
+                          max(u.features.shape[1] for u in train_utts + valid_utts))
     log = TrainLog()
     best = None
     for epoch in range(ckpt.epoch + 1, ckpt.epoch + hyper.epochs + 1):
@@ -394,7 +398,7 @@ def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
             # grads stays bound until the next step replaces it: freed at once,
             # it let glibc trim the heap after each step (9x the page faults,
             # about 15% slower per train() call in a fresh process).
-            loss, grads = batch_loss_and_grads(*batch, params)
+            loss, grads = batch_loss_and_grads(*batch, params, workspace=workspace)
             if not np.isfinite(loss):
                 raise FloatingPointError(
                     f"training diverged at epoch {epoch} (loss {loss}); "
@@ -405,7 +409,7 @@ def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
         train_loss = total / len(train_utts)
         total = 0.0
         for n, *batch in batches(valid_utts, range(len(valid_utts))):
-            total += batch_loss(*batch, params) * n
+            total += batch_loss(*batch, params, workspace=workspace) * n
         val_loss = total / len(valid_utts)
         log.rows.append(EpochRecord(epoch, train_loss, val_loss, ckpt.lr,
                                     time.perf_counter() - started))

@@ -5,7 +5,7 @@ import numpy as np
 from danet.network import (
     ArchSpec,
     TINY_NET,
-    backward,
+    batch_loss_and_grads,
     estimate_masks,
     finite_difference_check,
     forward_embed,
@@ -43,7 +43,7 @@ def test_explicit_fd_on_fc_bias():
         est = estimate_masks(V, train_attractors(V, masks), arch.input_dim)
         return reconstruction_loss(mag, masks, est)
 
-    _, grads = backward(feats, mag, masks, params)
+    _, grads = batch_loss_and_grads([feats], [mag], [masks], params)
     bias = params.tensors["fc.b"]
     step = 1e-5
     for idx in range(bias.size):

@@ -4,24 +4,41 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from danet.network import (
     ArchSpec,
     ModelParams,
-    backward,
     batch_loss,
     batch_loss_and_grads,
     count_params,
     estimate_masks,
     flatten_tf,
     forward_embed,
-    gru_cell,
     init_params,
     reconstruction_loss,
     tensor_shapes,
     train_attractors,
     unflatten_tf,
 )
+
+
+def gru_cell(x: np.ndarray, h_prev: np.ndarray, cell: dict[str, np.ndarray]) -> np.ndarray:
+    """Reference GRU step, one direction at a time.
+
+    z = sig(W_z x + U_z h + b_iz + b_hz), r likewise,
+    n = tanh(W_n x + b_in + r * (U_n h + b_hn)), out = (1-z)*n + z*h.
+    """
+    h = h_prev.shape[-1]
+    if x.shape[-1] != cell["W"].shape[1] or 3 * h != cell["U"].shape[0]:
+        raise ValueError(f"dimension mismatch: x {x.shape}, h_prev {h_prev.shape}, "
+                         f"W {cell['W'].shape}, U {cell['U'].shape}")
+    a = x @ cell["W"].T + cell["b_i"]
+    rec = h_prev @ cell["U"].T + cell["b_h"]
+    z = expit(a[..., :h] + rec[..., :h])
+    r = expit(a[..., h:2 * h] + rec[..., h:2 * h])
+    n = np.tanh(a[..., 2 * h:] + r * rec[..., 2 * h:])
+    return (1.0 - z) * n + z * h_prev
 
 
 def zero_params(arch: ArchSpec) -> ModelParams:
@@ -249,7 +266,7 @@ class TestBackward:
         masks = [np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 1.0]])]
         feats = np.zeros((2, 2))
         mag = np.ones((2, 2))
-        loss, grads = backward(feats, mag, masks, params)
+        loss, grads = batch_loss_and_grads([feats], [mag], [masks], params)
         assert loss < 1e-12
         norm = np.sqrt(sum(np.sum(g * g) for g in grads.values()))
         assert norm < 1e-8
@@ -262,8 +279,8 @@ class TestBackward:
         mag = rng.uniform(0.1, 1.0, size=(3, 4))
         owner = rng.integers(0, 2, size=(3, 4))
         masks = [(owner == i).astype(float) for i in range(2)]
-        loss1, grads1 = backward(feats, mag, masks, params)
-        loss2, grads2 = backward(feats, 2.0 * mag, masks, params)
+        loss1, grads1 = batch_loss_and_grads([feats], [mag], [masks], params)
+        loss2, grads2 = batch_loss_and_grads([feats], [2.0 * mag], [masks], params)
         assert loss2 == 4.0 * loss1
         for name in grads1:
             assert np.array_equal(grads2[name], 4.0 * grads1[name])
@@ -284,7 +301,7 @@ class TestBackward:
 
         loss_b, grads_b = batch_loss_and_grads(
             [u[0] for u in utts], [u[1] for u in utts], [u[2] for u in utts], params)
-        singles = [backward(*u, params) for u in utts]
+        singles = [batch_loss_and_grads([f], [m], [masks], params) for f, m, masks in utts]
         assert loss_b == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-13)
         for name in grads_b:
             mean_grad = (singles[0][1][name] + singles[1][1][name]) / 2.0
@@ -317,8 +334,8 @@ class TestBackward:
         mag = rng.uniform(0.1, 1.0, size=(3, 5))
         owner = rng.integers(0, 2, size=(3, 5))
         masks = [(owner == i).astype(float) for i in range(2)]
-        first = backward(feats, mag, masks, params)
-        second = backward(feats, mag, masks, params)
+        first = batch_loss_and_grads([feats], [mag], [masks], params)
+        second = batch_loss_and_grads([feats], [mag], [masks], params)
         assert first[0] == second[0]
         for name in first[1]:
             assert np.array_equal(first[1][name], second[1][name])
