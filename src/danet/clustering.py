@@ -2,9 +2,10 @@
 GMM fitted by MAP-EM, its covariances shrunk towards the pooled k-means
 covariance. Cluster centers become the attractors at test time.
 
-Every fit copies its (n, dim) points once into a C-contiguous (dim, n)
-array X (feature-major), so each pass over the points walks n contiguous
-values, and no result depends on the layout of the given points."""
+Every fit (`kmeans`, `gmm_fit`, `gmm_posterior`) copies its (n, dim) points
+once into a C-contiguous (dim, n) array X (feature-major) and runs on X
+alone, so each pass over the points walks n contiguous values, and no result
+depends on the layout of the given points."""
 
 from dataclasses import dataclass, field
 
@@ -36,8 +37,7 @@ class GmmModel:
 
 
 def _feature_major(points: np.ndarray) -> np.ndarray:
-    """The (n, dim) points as one C-contiguous (dim, n) array X: every pass
-    of Lloyd and EM then walks n contiguous values per dimension."""
+    """The (n, dim) points as the feature-major X."""
     return np.ascontiguousarray(points.T)
 
 
@@ -135,13 +135,13 @@ def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int, tol: float,
     An iteration costs one (k, dim) x (dim, n) distance GEMM, a strict-<
     argmin over the k rows (`_nearest`, which also gives the own distances
     that `_reseed_empty` needs), one bincount and one GEMM for the means,
-    all written into `work`. Every pass walks n contiguous values. The
-    means GEMM multiplies a C-ordered (n, k) one-hot matrix, transposed,
-    by X transposed: the call the (n, dim) loop made on F-ordered points,
-    so the centers of every iteration, and the labels they lead to, are
-    the bits of that loop. An iteration's history entry comes from the
-    per-cluster statistics, sum ||x||^2 - sum_c n_c ||mu_c||^2 clamped at 0;
-    `_finish` replaces the last one by the exact inertia.
+    all written into `work`. The means GEMM multiplies a C-ordered (n, k)
+    one-hot matrix, transposed, by X transposed: the call the (n, dim) loop
+    made on F-ordered points, so the centers of every iteration, and the
+    labels they lead to, are the bits of that loop. An iteration's history
+    entry comes from the per-cluster statistics, sum ||x||^2 - sum_c n_c
+    ||mu_c||^2 clamped at 0; `_finish` replaces the last one by the exact
+    inertia.
     """
     total_sq = float(point_sq.sum())
     k = centers.shape[0]
@@ -204,12 +204,10 @@ def kmeans(points: np.ndarray, k: int, max_iter: int = 100, tol: float = 1e-10,
            restarts: int = KMEANS_RESTARTS, seed: int = 0) -> KMeansResult:
     """Best-of-restarts Lloyd iterations from k-means++ seeding.
 
-    The (n, dim) points are copied once into a C-contiguous (dim, n) array,
-    and every restart runs on it in one `_LloydWork`, so no field of the
-    result depends on the layout of the given points. The centers are the
-    plain means of the final clusters and the inertia a plain sum
-    (`_finish`), bit for bit as a direct evaluation gives them; the strict <
-    keeps the first restart of least inertia.
+    Every restart runs on the feature-major X in one `_LloydWork`. The
+    centers are the plain means of the final clusters and the inertia a
+    plain sum (`_finish`), bit for bit as a direct evaluation gives them;
+    the strict < keeps the first restart of least inertia.
     """
     points = _as_points(points)
     n = points.shape[0]
@@ -314,13 +312,10 @@ def gmm_fit(points: np.ndarray, k: int, max_iter: int = EM_MAX_ITER,
     tol, and False when it stopped at max_iter (max_iter=0 returns the
     k-means initialisation).
 
-    EM runs on one C-contiguous (dim, n) copy of the points, in one
-    `_EmWork` made for the fit: the centred, whitened and weighted points
-    are (k, dim, n) and the log-densities and responsibilities (k, n), so
-    every elementwise pass and every reduction over the components walks n
-    contiguous values, and the fit does not depend on the layout of the
-    given points. The M-step's centred points serve the next E-step, whose
-    means are the M-step's.
+    EM runs on the feature-major X in one `_EmWork` made for the fit: the
+    centred, whitened and weighted points are (k, dim, n) and the
+    log-densities and responsibilities (k, n). The M-step's centred points
+    serve the next E-step, whose means are the M-step's.
     """
     points = _as_points(points)
     n, dim = points.shape

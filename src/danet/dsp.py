@@ -2,6 +2,7 @@
 
 import math
 import wave as wavefile
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -176,12 +177,28 @@ def standardize(feats: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndar
     return feats / np.maximum(np.asarray(std, dtype=np.float64), 1e-8)[:, None]
 
 
-def feature_stats(feature_mats: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frequency mean and standard deviation pooled over a set of matrices."""
-    if not feature_mats:
-        raise ValueError("need at least one feature matrix")
-    stacked = np.concatenate([np.asarray(m, dtype=np.float64) for m in feature_mats], axis=1)
-    return stacked.mean(axis=1), stacked.std(axis=1)
+def feature_stats(feature_mats: Iterable[np.ndarray],
+                  frames: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frequency mean and standard deviation pooled over F x T_i matrices,
+    copied one at a time into one Fortran-ordered (F, sum T_i) array: the
+    layout np.concatenate gives the F-ordered output of `log_features`, which
+    sets the bits of the row statistics. Given frames = sum T_i,
+    `feature_mats` may be a generator."""
+    if frames is None:
+        feature_mats = list(feature_mats)
+        frames = sum(np.shape(m)[1] for m in feature_mats)
+    if frames < 1:
+        raise ValueError("need at least one feature frame")
+    pooled, start = None, 0
+    for mat in feature_mats:
+        width = np.shape(mat)[1]
+        if pooled is None:
+            pooled = np.empty((len(mat), frames), order="F")
+        pooled[:, start:start + width] = mat
+        start += width
+    if start != frames:
+        raise ValueError(f"the matrices hold {start} frames, not the {frames} given")
+    return pooled.mean(axis=1), pooled.std(axis=1)
 
 
 @lru_cache(maxsize=1)

@@ -517,13 +517,15 @@ def _scored_batch(features, mix_mags, ideal_masks, params: ModelParams,
     scores += c.reshape(B, n_spk * F, 1)
     if not np.all(np.isfinite(scores)):
         raise FloatingPointError("non-finite activations in forward pass")
-    m_hat = _sigmoid(scores).reshape(M.shape)
-    Xsq = X * X
-    err = M - m_hat
+    m_hat = _sigmoid(scores, out=scores).reshape(M.shape)
+    Xsq = np.multiply(X, X, out=X)
+    # m_hat - M, the backward pass's first factor, is exactly -(M - m_hat): the
+    # loss terms keep their bits.
+    diff = m_hat - M
     count = n_spk * len(features)
-    loss = float(np.sum(Xsq[:, None] * err * err)) / count
+    loss = float(np.sum(Xsq[:, None] * diff * diff)) / count
     return loss, (x, cells, steps, bufs, Wk, bk, s, M, m, mass, P, attractors, G, Xsq,
-                  count, m_hat)
+                  count, m_hat, diff)
 
 
 def batch_loss(features: list[np.ndarray], mix_mags: list[np.ndarray],
@@ -544,20 +546,31 @@ def batch_loss_and_grads(features: list[np.ndarray], mix_mags: list[np.ndarray],
     Without a workspace the call makes its own.
     """
     loss, (x, cells, steps, bufs, Wk, bk, s, M, m, mass, P, attractors, G, Xsq, count,
-           m_hat) = _scored_batch(features, mix_mags, ideal_masks, params, workspace,
-                                  keep_cache=True)
+           m_hat, d_scores) = _scored_batch(features, mix_mags, ideal_masks, params,
+                                            workspace, keep_cache=True)
     B, n_spk, F, T = M.shape
     by_bin = (B, n_spk * F, -1)
 
     # Back through the fold: dG = sum_t dS s, dc = sum_t dS, da = (dG.W_f +
     # dc b_f) / mass and dP = da W_f; fc.W gets a dG + da P, fc.b a dc + da m,
-    # and s(t) gets dS G + M dP.
-    d_mhat = (2.0 / count) * Xsq[:, None] * (m_hat - M)
-    d_scores = (d_mhat * m_hat * (1.0 - m_hat)).reshape(by_bin)
+    # and s(t) gets dS G + M dP. Dead temporaries are overwritten or dropped;
+    # products keep their operands and order. dS = (2/count X^2) (m_hat - M)
+    # m_hat (1 - m_hat) forms in the m_hat - M buffer, 1 - m_hat over m_hat.
+    Xsq *= 2.0 / count
+    np.multiply(Xsq[:, None], d_scores, out=d_scores)
+    d_scores *= m_hat
+    d_scores *= np.subtract(1.0, m_hat, out=m_hat)
+    del m_hat, Xsq
+    d_scores = d_scores.reshape(by_bin)
+    d_seq = d_scores.transpose(0, 2, 1) @ G.reshape(by_bin)
+    del G
     dG = (d_scores @ s).reshape(P.shape)
     dc = d_scores.sum(axis=2).reshape(m.shape)
+    del d_scores
     d_attr = (dG @ Wk.T + dc @ bk.T) / mass
     dP = d_attr @ Wk
+    d_seq += M.reshape(by_bin).transpose(0, 2, 1) @ dP.reshape(by_bin)
+    del M, dP
 
     dWk = attractors.T @ dG
     dWk += d_attr.T @ P
@@ -566,8 +579,6 @@ def batch_loss_and_grads(features: list[np.ndarray], mix_mags: list[np.ndarray],
     grads = {"fc.W": dWk.reshape(K, F, -1).transpose(1, 0, 2).reshape(F * K, -1),
              "fc.b": dbk.T.ravel()}
 
-    d_seq = d_scores.transpose(0, 2, 1) @ G.reshape(by_bin)
-    d_seq += M.reshape(by_bin).transpose(0, 2, 1) @ dP.reshape(by_bin)
     h_dim = params.arch.hidden_per_direction
     d = bufs["d"]
     d[:, 0] = d_seq[..., :h_dim].transpose(1, 0, 2)

@@ -304,8 +304,7 @@ class TrainLog:
 
 
 class _Utterance(NamedTuple):
-    features: np.ndarray          # log magnitude, F x T; train() standardizes it in place
-    mix_mag: np.ndarray           # linear magnitude, F x T
+    mix_mag: np.ndarray           # linear magnitude, F x T; each batch derives its features
     masks: list[np.ndarray]       # binary ideal masks, bool F x T each
 
 
@@ -325,8 +324,8 @@ def mixture_masks(mix: Waveform, sources: list[Waveform], cfg: StftConfig):
 
 
 def _load_split(records: list[corpus_mod.MixtureRecord], cfg: StftConfig) -> list[_Utterance]:
-    """Each mixture's log features, magnitude and binary ideal masks (bool;
-    each batch writes them into its float64 targets as exact 0.0 and 1.0)."""
+    """Each mixture's magnitude and binary ideal masks (bool; each batch
+    writes them into its float64 targets as exact 0.0 and 1.0)."""
     def read(path) -> Waveform:
         wave = read_wav(path)
         if wave.sample_rate != SAMPLE_RATE:
@@ -338,7 +337,7 @@ def _load_split(records: list[corpus_mod.MixtureRecord], cfg: StftConfig) -> lis
     for rec in records:
         _, mix_mag, masks = mixture_masks(read(rec.mixture_path),
                                           [read(p) for p in rec.source_paths], cfg)
-        out.append(_Utterance(log_features(mix_mag), mix_mag, [binarize(m) for m in masks]))
+        out.append(_Utterance(mix_mag, [binarize(m) for m in masks]))
     return out
 
 
@@ -372,22 +371,23 @@ def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
         ckpt = resume_from.copy()
     else:
         params = init_params(arch, hyper.seed)
-        params.feat_mean, params.feat_std = feature_stats([u.features for u in train_utts])
+        params.feat_mean, params.feat_std = feature_stats(
+            (log_features(u.mix_mag) for u in train_utts),
+            sum(u.mix_mag.shape[1] for u in train_utts))
         ckpt = Checkpoint(params, AdamState.zeros(params), stft_cfg, SAMPLE_RATE,
                           epoch=0, lr=hyper.lr0, best_val_loss=np.inf)
     params = ckpt.params
-    for u in train_utts + valid_utts:
-        u.features[...] = standardize(u.features, params.feat_mean, params.feat_std)
 
     def batches(utts, order):
-        """Each batch's size, then its features, magnitudes and masks."""
+        """Each batch's size, then its standardized features, magnitudes and masks."""
         for i in range(0, len(order), hyper.batch_size):
-            chunk = [utts[j] for j in order[i:i + hyper.batch_size]]
-            yield len(chunk), *zip(*chunk)
+            mags, masks = zip(*(utts[j] for j in order[i:i + hyper.batch_size]))
+            yield len(mags), [standardize(log_features(mag), params.feat_mean, params.feat_std)
+                              for mag in mags], mags, masks
 
     # One workspace for every batch of the run, sized by the longest.
     workspace = Workspace(arch, min(hyper.batch_size, max(len(train_utts), len(valid_utts))),
-                          max(u.features.shape[1] for u in train_utts + valid_utts))
+                          max(u.mix_mag.shape[1] for u in train_utts + valid_utts))
     log = TrainLog()
     best = None
     for epoch in range(ckpt.epoch + 1, ckpt.epoch + hyper.epochs + 1):
@@ -395,9 +395,6 @@ def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
         order = np.random.default_rng([hyper.seed, epoch]).permutation(len(train_utts))
         total = 0.0
         for n, *batch in batches(train_utts, order):
-            # grads stays bound until the next step replaces it: freed at once,
-            # it let glibc trim the heap after each step (9x the page faults,
-            # about 15% slower per train() call in a fresh process).
             loss, grads = batch_loss_and_grads(*batch, params, workspace=workspace)
             if not np.isfinite(loss):
                 raise FloatingPointError(
@@ -406,6 +403,7 @@ def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
             clip_grads(grads, hyper.grad_clip)
             adam_step(params, grads, ckpt.adam, ckpt.lr, hyper.beta1, hyper.beta2, hyper.eps)
             total += loss * n
+            del grads  # or the next step's peak would hold two sets of gradients
         train_loss = total / len(train_utts)
         total = 0.0
         for n, *batch in batches(valid_utts, range(len(valid_utts))):

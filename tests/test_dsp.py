@@ -233,6 +233,22 @@ class TestLogFeatures:
         assert np.allclose(standardized.mean(axis=1), 0, atol=1e-9)
         assert np.allclose(standardized.var(axis=1), 1, atol=1e-9)
 
+    def test_stats_of_a_generator_equal_those_of_the_concatenated_list(self):
+        rng = np.random.default_rng(7)
+        # F-ordered, as the log magnitudes of an stft are
+        feats = [log_features(np.asfortranarray(rng.uniform(0.1, 3.0, size=(9, T))))
+                 for T in (40, 3, 17, 1)]
+        stacked = np.concatenate(feats, axis=1)
+        for mean, std in (feature_stats(feats), feature_stats(iter(feats), 61)):
+            assert mean.tobytes() == stacked.mean(axis=1).tobytes()
+            assert std.tobytes() == stacked.std(axis=1).tobytes()
+
+    def test_stats_refuse_a_wrong_frame_count_and_no_matrices(self):
+        with pytest.raises(ValueError, match="hold 3 frames, not the 4"):
+            feature_stats(iter([np.ones((2, 3))]), 4)
+        with pytest.raises(ValueError, match="at least one"):
+            feature_stats([])
+
 
 class TestDecimate2:
     def tone(self, freq, n=16000, rate=16000):

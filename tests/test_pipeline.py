@@ -9,7 +9,7 @@ import pytest
 
 from danet import pipeline
 from danet.corpus import DatasetRecipe, build_dataset, synth_corpus
-from danet.dsp import StftConfig, Waveform
+from danet.dsp import StftConfig, Waveform, feature_stats, log_features
 from danet.network import TINY_NET, ArchSpec, init_params
 from danet.pipeline import (
     AdamState,
@@ -434,7 +434,8 @@ class TestTrain:
         from danet.network import batch_loss_and_grads
 
         records = [r for r in corpus_mod.load_manifest(tiny_dataset) if r.split == "train"]
-        features, mags, masks = zip(*pipeline._load_split(records[:4], StftConfig()))
+        mags, masks = zip(*pipeline._load_split(records[:4], StftConfig()))
+        features = [log_features(m) for m in mags]
         assert all(m.dtype == np.bool_ for ms in masks for m in ms)
         as_float = [[m.astype(np.float64) for m in ms] for ms in masks]
         params = init_params(TINY_ARCH, 7)
@@ -443,6 +444,43 @@ class TestTrain:
         assert loss == loss_f
         for name in grads_f:
             assert np.array_equal(grads[name], grads_f[name]), name
+
+    def test_split_utterance_holds_only_its_magnitude_and_bool_masks(self, tiny_dataset):
+        import danet.corpus as corpus_mod
+
+        records = [r for r in corpus_mod.load_manifest(tiny_dataset) if r.split == "valid"]
+        for utt in pipeline._load_split(records, StftConfig()):
+            assert utt._fields == ("mix_mag", "masks")
+            assert utt.mix_mag.dtype == np.float64 and utt.mix_mag.shape[0] == 129
+            assert all(m.dtype == np.bool_ and m.shape == utt.mix_mag.shape
+                       for m in utt.masks)
+
+    def test_feature_statistics_equal_those_of_the_stacked_log_features(self, tiny_dataset,
+                                                                       monkeypatch):
+        # train() pools the log features of its magnitudes one at a time; for
+        # utterances of mixed lengths the statistics must equal feature_stats
+        # of the whole list, and the np.concatenate reduction that defined
+        # them, bit for bit.
+        loaded = []
+
+        def mixed_lengths(records, cfg):
+            utts = [pipeline._Utterance(u.mix_mag[:, :128 - 9 * i],
+                                        [m[:, :128 - 9 * i] for m in u.masks])
+                    for i, u in enumerate(real_load(records, cfg))]
+            loaded.append(utts)
+            return utts
+
+        real_load = pipeline._load_split
+        monkeypatch.setattr(pipeline, "_load_split", mixed_lengths)
+        params = train(tiny_dataset, tiny_hyper(epochs=1), TINY_ARCH).last.params
+        feats = [log_features(u.mix_mag) for u in loaded[0]]
+        assert len({f.shape[1] for f in feats}) == len(feats) > 1
+        stacked = np.concatenate(feats, axis=1)
+        mean, std = feature_stats(feats)
+        assert mean.tobytes() == stacked.mean(axis=1).tobytes()
+        assert std.tobytes() == stacked.std(axis=1).tobytes()
+        assert params.feat_mean.tobytes() == mean.tobytes()
+        assert params.feat_std.tobytes() == std.tobytes()
 
     def test_single_utterance_overfit(self, tiny_dataset):
         # Toy net driven hard on one short mixture: loss collapses below 1%
