@@ -65,35 +65,6 @@ DEFAULTS: dict[str, object] = {
     "gradcheck.step": 1e-5,
 }
 
-# Per subcommand: help text, path arguments, and the flags that set a config
-# key. A path's kind is "file" or "dir" for an input that must exist, or "out";
-# a trailing "?" makes it optional. A flag's type is that of its key's default.
-COMMANDS = {
-    "synth": ("generate the synthetic corpus", {"--out": "out"},
-              {"--speakers": "synth.speakers", "--utts": "synth.utts",
-               "--dur": "synth.dur", "--seed": "synth.seed"}),
-    "mix": ("build a two-speaker mixture dataset", {"--corpus": "dir", "--out": "out"},
-            {"--train-min": "mix.train_min", "--valid-min": "mix.valid_min",
-             "--test-min": "mix.test_min", "--seed": "mix.seed"}),
-    "train": ("train a separation model", {"--manifest": "file", "--out": "out"},
-              {"--epochs": "train.epochs", "--batch-size": "train.batch_size",
-               "--lr0": "train.lr0", "--layers": "arch.layers", "--hidden": "arch.hidden",
-               "--embed-dim": "arch.embed_dim", "--seed": "train.seed"}),
-    "separate": ("separate one mixture WAV",
-                 {"--checkpoint": "file", "--input": "file", "--out-dir": "out?"},
-                 {"--speakers": "separate.n_speakers", "--cluster": "separate.cluster",
-                  "--seed": "separate.seed"}),
-    "eval": ("score a manifest split",
-             {"--manifest": "file", "--checkpoint": "file?", "--out": "out"},
-             {"--algo": "eval.algo", "--split": "eval.split", "--proj-len": "eval.proj_len"}),
-    "count-params": ("closed-form parameter count", {},
-                     {"--cell": "arch.cell", "--layers": "arch.layers",
-                      "--hidden": "arch.hidden", "--embed-dim": "arch.embed_dim",
-                      "--input-dim": "arch.input_dim"}),
-    "gradcheck": ("finite-difference gradient check", {},
-                  {"--seed": "gradcheck.seed", "--step": "gradcheck.step"}),
-}
-
 CHOICES = {
     "separate.cluster": list(ALGOS),
     "eval.algo": list(EVAL_ALGOS),
@@ -172,7 +143,7 @@ def _build(cls, cfg: dict, section: str):
 
 def _check_inputs(args: argparse.Namespace) -> None:
     """Every given input path must exist as the kind COMMANDS declares."""
-    for flag, kind in COMMANDS[args.command][1].items():
+    for flag, kind in COMMANDS[args.command][2].items():
         value = getattr(args, flag[2:].replace("-", "_"))
         kind = kind.rstrip("?")
         if value is None or kind == "out":
@@ -185,7 +156,7 @@ def _check_inputs(args: argparse.Namespace) -> None:
 
 def _apply_flags(cfg: dict, args: argparse.Namespace) -> dict:
     """Flags win over every other source of a key."""
-    for key in COMMANDS[args.command][2].values():
+    for key in COMMANDS[args.command][3].values():
         value = getattr(args, key)
         if value is not None:
             cfg[key] = value
@@ -314,6 +285,37 @@ def cmd_gradcheck(cfg: dict, args) -> CommandOutcome:
                  f"{'PASS' if ok else 'FAIL'} at 1e-4"))
 
 
+# Per subcommand: its handler, help text, path arguments, and the flags that
+# set a config key. A path's kind is "file" or "dir" for an input that must
+# exist, or "out"; a trailing "?" makes it optional. A flag's type is that of
+# its key's default.
+COMMANDS = {
+    "synth": (cmd_synth, "generate the synthetic corpus", {"--out": "out"},
+              {"--speakers": "synth.speakers", "--utts": "synth.utts",
+               "--dur": "synth.dur", "--seed": "synth.seed"}),
+    "mix": (cmd_mix, "build a two-speaker mixture dataset", {"--corpus": "dir", "--out": "out"},
+            {"--train-min": "mix.train_min", "--valid-min": "mix.valid_min",
+             "--test-min": "mix.test_min", "--seed": "mix.seed"}),
+    "train": (cmd_train, "train a separation model", {"--manifest": "file", "--out": "out"},
+              {"--epochs": "train.epochs", "--batch-size": "train.batch_size",
+               "--lr0": "train.lr0", "--layers": "arch.layers", "--hidden": "arch.hidden",
+               "--embed-dim": "arch.embed_dim", "--seed": "train.seed"}),
+    "separate": (cmd_separate, "separate one mixture WAV",
+                 {"--checkpoint": "file", "--input": "file", "--out-dir": "out?"},
+                 {"--speakers": "separate.n_speakers", "--cluster": "separate.cluster",
+                  "--seed": "separate.seed"}),
+    "eval": (cmd_eval, "score a manifest split",
+             {"--manifest": "file", "--checkpoint": "file?", "--out": "out"},
+             {"--algo": "eval.algo", "--split": "eval.split", "--proj-len": "eval.proj_len"}),
+    "count-params": (cmd_count_params, "closed-form parameter count", {},
+                     {"--cell": "arch.cell", "--layers": "arch.layers",
+                      "--hidden": "arch.hidden", "--embed-dim": "arch.embed_dim",
+                      "--input-dim": "arch.input_dim"}),
+    "gradcheck": (cmd_gradcheck, "finite-difference gradient check", {},
+                  {"--seed": "gradcheck.seed", "--step": "gradcheck.step"}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="danet",
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, paths, flags) in COMMANDS.items():
+    for name, (_, help_text, paths, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, kind in paths.items():
             p.add_argument(flag, required=not kind.endswith("?"))
@@ -334,24 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-HANDLERS = {
-    "synth": cmd_synth,
-    "mix": cmd_mix,
-    "train": cmd_train,
-    "separate": cmd_separate,
-    "eval": cmd_eval,
-    "count-params": cmd_count_params,
-    "gradcheck": cmd_gradcheck,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.set)
         cfg = _apply_flags(cfg, args)
         _check_inputs(args)
-        outcome = HANDLERS[args.command](cfg, args)
+        outcome = COMMANDS[args.command][0](cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

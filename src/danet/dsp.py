@@ -198,7 +198,12 @@ def feature_stats(feature_mats: Iterable[np.ndarray],
         start += width
     if start != frames:
         raise ValueError(f"the matrices hold {start} frames, not the {frames} given")
-    return pooled.mean(axis=1), pooled.std(axis=1)
+    # np.std's own steps (subtract the mean, square, sum, divide, sqrt) done in
+    # the pooled array itself: the same bits, without a second (F, sum T_i) array.
+    mean = pooled.mean(axis=1)
+    pooled -= mean[:, None]
+    np.square(pooled, out=pooled)
+    return mean, np.sqrt(np.add.reduce(pooled, axis=1) / frames)
 
 
 @lru_cache(maxsize=1)

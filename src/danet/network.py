@@ -9,7 +9,7 @@ gradients are implemented here in plain numpy.
 Training never forms the embeddings. V(t,f) = W_f s(t) + b_f is linear in
 the top BGRU output s, so the attractor head contracts s directly: the
 mask-weighted sums over frames are taken before the map, and the scores are
-s(t).(a W_f) + a.b_f (see `_scored_batch`). `forward_embed` forms V, because
+s(t).(a W_f) + a.b_f (see `_objective`). `forward_embed` forms V, because
 clustering at inference needs it.
 
 Embedding layout: V is K x (F*T) with column index t*F + f (frequency-major
@@ -482,29 +482,27 @@ def _pad_batch(features, mix_mags, ideal_masks, arch):
     return x, X, M, frame_mask, n_spk
 
 
-def _fc_factors(params: ModelParams):
-    """The linear map as Wk (K, F*2h), Wk[k, f*2h + d] = W_f[k, d], and bk (K, F)."""
-    F, K = params.arch.input_dim, params.arch.embed_dim
-    W = params.tensors["fc.W"]
-    return (W.reshape(F, K, -1).transpose(1, 0, 2).reshape(K, -1),
-            params.tensors["fc.b"].reshape(F, K).T)
+def _objective(features, mix_mags, ideal_masks, params: ModelParams,
+               workspace: Workspace | None, with_grads: bool):
+    """Pad, run the BGRU stack and score a batch: the mean per-utterance loss
+    and, with_grads, its exact parameter gradients (else None).
 
-
-def _scored_batch(features, mix_mags, ideal_masks, params: ModelParams,
-                  workspace: Workspace | None, keep_cache: bool):
-    """Pad, run the BGRU stack and score a batch: the mean per-utterance loss,
-    plus what its gradient needs.
-
-    The embeddings V(t,f) = W_f s(t) + b_f are never formed. With
-    P(i,f) = sum_t M(i,t,f) s(t) and m(i,f) = sum_t M(i,t,f), utterance i's
-    attractor is a = (sum_f W_f P + m b_f) / sum_f m, and its scores are
-    s(t).G(f) + c(f) with G = a W_f and c = a b_f. Every product is a GEMM
-    over rows (b, i) or over frames.
+    Utterances are zero-padded to a common frame count; a per-utterance frame
+    mask keeps padded frames out of the recurrences and out of the loss.
+    Without a workspace the call makes its own. The embeddings
+    V(t,f) = W_f s(t) + b_f are never formed. With P(i,f) = sum_t M(i,t,f) s(t)
+    and m(i,f) = sum_t M(i,t,f), utterance i's attractor is
+    a = (sum_f W_f P + m b_f) / sum_f m, and its scores are s(t).G(f) + c(f)
+    with G = a W_f and c = a b_f. Every product is a GEMM over rows (b, i) or
+    over frames. Every head temporary is made and freed here.
     """
-    x, X, M, frame_mask, n_spk = _pad_batch(features, mix_mags, ideal_masks, params.arch)
-    s, (cells, steps, bufs) = _forward_batch(x, frame_mask, params, workspace, keep_cache)
-    Wk, bk = _fc_factors(params)
-    B, _, F, T = M.shape
+    x, Xsq, M, frame_mask, n_spk = _pad_batch(features, mix_mags, ideal_masks, params.arch)
+    s, (cells, steps, bufs) = _forward_batch(x, frame_mask, params, workspace, with_grads)
+    # The linear map as Wk (K, F*2h), Wk[k, f*2h + d] = W_f[k, d], and bk (K, F).
+    F, K = params.arch.input_dim, params.arch.embed_dim
+    Wk = params.tensors["fc.W"].reshape(F, K, -1).transpose(1, 0, 2).reshape(K, -1)
+    bk = params.tensors["fc.b"].reshape(F, K).T
+    B, _, _, T = M.shape
     m = M.sum(axis=3).reshape(B * n_spk, F)
     mass = m.sum(axis=1, keepdims=True)
     if np.any(mass == 0):
@@ -513,42 +511,19 @@ def _scored_batch(features, mix_mags, ideal_masks, params: ModelParams,
     attractors = (P @ Wk.T + m @ bk.T) / mass
     G = attractors @ Wk
     c = attractors @ bk
-    scores = G.reshape(B, n_spk * F, -1) @ s.transpose(0, 2, 1)
-    scores += c.reshape(B, n_spk * F, 1)
-    if not np.all(np.isfinite(scores)):
+    m_hat = G.reshape(B, n_spk * F, -1) @ s.transpose(0, 2, 1)  # the scores, until the sigmoid
+    m_hat += c.reshape(B, n_spk * F, 1)
+    if not np.all(np.isfinite(m_hat)):
         raise FloatingPointError("non-finite activations in forward pass")
-    m_hat = _sigmoid(scores, out=scores).reshape(M.shape)
-    Xsq = np.multiply(X, X, out=X)
+    m_hat = _sigmoid(m_hat, out=m_hat).reshape(M.shape)
+    np.multiply(Xsq, Xsq, out=Xsq)  # the padded magnitudes, squared in place
     # m_hat - M, the backward pass's first factor, is exactly -(M - m_hat): the
     # loss terms keep their bits.
-    diff = m_hat - M
+    d_scores = m_hat - M
     count = n_spk * len(features)
-    loss = float(np.sum(Xsq[:, None] * diff * diff)) / count
-    return loss, (x, cells, steps, bufs, Wk, bk, s, M, m, mass, P, attractors, G, Xsq,
-                  count, m_hat, diff)
-
-
-def batch_loss(features: list[np.ndarray], mix_mags: list[np.ndarray],
-               ideal_masks: list[list[np.ndarray]], params: ModelParams,
-               workspace: Workspace | None = None) -> float:
-    """Mean per-utterance loss over a padded batch, forward pass only."""
-    return _scored_batch(features, mix_mags, ideal_masks, params, workspace,
-                         keep_cache=False)[0]
-
-
-def batch_loss_and_grads(features: list[np.ndarray], mix_mags: list[np.ndarray],
-                         ideal_masks: list[list[np.ndarray]], params: ModelParams,
-                         workspace: Workspace | None = None):
-    """Mean per-utterance loss and its exact parameter gradients.
-
-    Utterances are zero-padded to a common frame count; a per-utterance frame
-    mask keeps padded frames out of the recurrences and out of the loss.
-    Without a workspace the call makes its own.
-    """
-    loss, (x, cells, steps, bufs, Wk, bk, s, M, m, mass, P, attractors, G, Xsq, count,
-           m_hat, d_scores) = _scored_batch(features, mix_mags, ideal_masks, params,
-                                            workspace, keep_cache=True)
-    B, n_spk, F, T = M.shape
+    loss = float(np.sum(Xsq[:, None] * d_scores * d_scores)) / count
+    if not with_grads:
+        return loss, None
     by_bin = (B, n_spk * F, -1)
 
     # Back through the fold: dG = sum_t dS s, dc = sum_t dS, da = (dG.W_f +
@@ -575,7 +550,6 @@ def batch_loss_and_grads(features: list[np.ndarray], mix_mags: list[np.ndarray],
     dWk = attractors.T @ dG
     dWk += d_attr.T @ P
     dbk = attractors.T @ dc + d_attr.T @ m
-    K = params.arch.embed_dim
     grads = {"fc.W": dWk.reshape(K, F, -1).transpose(1, 0, 2).reshape(F * K, -1),
              "fc.b": dbk.T.ravel()}
 
@@ -587,11 +561,28 @@ def batch_loss_and_grads(features: list[np.ndarray], mix_mags: list[np.ndarray],
         x_seq = bufs[f"out{layer - 1}"] if layer else x
         grads.update(_backward_layer(x_seq, cells[layer], steps, bufs, layer,
                                      input_grad=layer > 0))
-    grads = {name: grads[name] for name in params.tensors}
-    for name, g in grads.items():
+    ordered = {}  # in params' order
+    for name in params.tensors:
+        ordered[name] = g = grads[name]
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for {name}")
-    return loss, grads
+    return loss, ordered
+
+
+def batch_loss(features: list[np.ndarray], mix_mags: list[np.ndarray],
+               ideal_masks: list[list[np.ndarray]], params: ModelParams,
+               workspace: Workspace | None = None) -> float:
+    """Mean per-utterance loss over a padded batch, forward pass only."""
+    return _objective(features, mix_mags, ideal_masks, params, workspace,
+                      with_grads=False)[0]
+
+
+def batch_loss_and_grads(features: list[np.ndarray], mix_mags: list[np.ndarray],
+                         ideal_masks: list[list[np.ndarray]], params: ModelParams,
+                         workspace: Workspace | None = None):
+    """Mean per-utterance loss over a padded batch and its exact parameter
+    gradients."""
+    return _objective(features, mix_mags, ideal_masks, params, workspace, with_grads=True)
 
 
 TINY_NET = ArchSpec(input_dim=5, num_layers=1, hidden_per_direction=4, embed_dim=3)

@@ -1,5 +1,7 @@
 """Signal-path tests: window COLA, STFT/ISTFT round trips, features, decimation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -242,6 +244,18 @@ class TestLogFeatures:
         for mean, std in (feature_stats(feats), feature_stats(iter(feats), 61)):
             assert mean.tobytes() == stacked.mean(axis=1).tobytes()
             assert std.tobytes() == stacked.std(axis=1).tobytes()
+
+    def test_stats_hold_one_pooled_array(self):
+        # np.std would allocate a second array the size of the pooled one.
+        feats = [np.asfortranarray(np.random.default_rng(8).normal(size=(129, 2000)))]
+        pooled_bytes = feats[0].nbytes
+        tracemalloc.start()
+        try:
+            feature_stats(iter(feats), 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * pooled_bytes, (peak, pooled_bytes)
 
     def test_stats_refuse_a_wrong_frame_count_and_no_matrices(self):
         with pytest.raises(ValueError, match="hold 3 frames, not the 4"):
