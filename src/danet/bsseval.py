@@ -19,6 +19,8 @@ from .clustering import ALGOS
 from .dsp import StftConfig
 
 MAX_PERMUTATION_SOURCES = 4
+# The variables that set OpenBLAS's thread count; the first non-empty one wins.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 EVAL_ALGOS = (*ALGOS, "oracle_wfm", "oracle_ibm", "mixture")
 
 
@@ -229,14 +231,14 @@ def _score_in_worker(rec):
 
 def _worker_count(n_records: int) -> int:
     """Usable cores over the BLAS threads each worker inherits (OpenBLAS runs
-    one per core unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set), at
-    most one per record. More BLAS threads than cores spin against each
-    other: two workers at two threads each took 1.7-7x a serial run's time
-    on a 2-core machine."""
+    one per core unless one of BLAS_THREAD_VARS is set), at most one per
+    record. More BLAS threads than cores spin against each other: two
+    workers at two threads each took 1.7-7x a serial run's time on a
+    2-core machine."""
     if not hasattr(os, "sched_getaffinity"):   # not Linux: fork is no safe default
         return 1
     cores = len(os.sched_getaffinity(0))
-    setting = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    setting = next((os.environ[var] for var in BLAS_THREAD_VARS if os.environ.get(var)), None)
     threads = int(setting) if setting and setting.isdigit() and int(setting) > 0 else cores
     return max(1, min(cores // threads, n_records))
 

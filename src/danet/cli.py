@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .bsseval import EVAL_ALGOS, EvalConfig, evaluate_set
+from .bsseval import BLAS_THREAD_VARS, EVAL_ALGOS, EvalConfig, evaluate_set
 from .clustering import ALGOS
 from .corpus import DatasetRecipe, build_dataset, scan_corpus, synth_corpus
 from .dsp import StftConfig, read_wav, write_wav
@@ -127,7 +127,7 @@ def echo_config(cfg: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(f"# numpy {np.__version__}, scipy {scipy.__version__}\n")
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        for var in BLAS_THREAD_VARS:
             fh.write(f"# {var}={os.environ.get(var, 'unset')}\n")
         for key in sorted(cfg):
             fh.write(f"{key}={cfg[key]}\n")

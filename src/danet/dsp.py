@@ -1,22 +1,14 @@
-"""Signal-path primitives: windowing, STFT/ISTFT, features, decimation, WAV I/O."""
+"""Signal-path primitives: windowing, STFT/ISTFT, features, WAV I/O."""
 
 import math
 import wave as wavefile
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-SAMPLE_RATE = 8000
+SAMPLE_RATE = 8000  # the one rate danet trains and separates at; it has no resampler
 FEATURE_FLOOR_EPS = 1e-7
-
-# Anti-alias design for the 16 kHz -> 8 kHz path: keep 0-3.6 kHz, be down
-# >= 60 dB well before the new Nyquist.
-DECIM_INPUT_RATE = 16000
-DECIM_CUTOFF_HZ = 3600.0
-DECIM_TRANSITION_HZ = 800.0
-DECIM_STOP_ATTEN_DB = 65.0
 
 
 @dataclass(frozen=True)
@@ -204,35 +196,6 @@ def feature_stats(feature_mats: Iterable[np.ndarray],
     pooled -= mean[:, None]
     np.square(pooled, out=pooled)
     return mean, np.sqrt(np.add.reduce(pooled, axis=1) / frames)
-
-
-@lru_cache(maxsize=1)
-def decimation_taps() -> np.ndarray:
-    """Kaiser-windowed sinc low-pass used by decimate2 (odd length, unit DC gain).
-
-    Kaiser's design rule for a stop-band attenuation A above 50 dB sets the
-    window's beta = 0.1102 (A - 8.7) and its length from the transition
-    width, in the operation order of scipy.signal's kaiserord and firwin.
-    """
-    nyquist = DECIM_INPUT_RATE / 2
-    beta = 0.1102 * (DECIM_STOP_ATTEN_DB - 8.7)
-    numtaps = math.ceil((DECIM_STOP_ATTEN_DB - 7.95) / 2.285
-                        / (np.pi * (DECIM_TRANSITION_HZ / nyquist)) + 1) | 1
-    cutoff = DECIM_CUTOFF_HZ / nyquist
-    m = np.arange(numtaps) - 0.5 * (numtaps - 1)
-    taps = cutoff * np.sinc(cutoff * m) * np.kaiser(numtaps, beta)
-    return taps / taps.sum()
-
-
-def decimate2(wave: Waveform) -> Waveform:
-    """Low-pass then keep every second sample: 16 kHz -> 8 kHz."""
-    if wave.sample_rate != DECIM_INPUT_RATE:
-        raise ValueError(f"decimate2 expects {DECIM_INPUT_RATE} Hz input, "
-                         f"got {wave.sample_rate} Hz")
-    taps = decimation_taps()
-    delay = (taps.size - 1) // 2
-    filtered = np.convolve(wave.samples, taps)[delay:delay + wave.samples.size]
-    return Waveform(filtered[::2], wave.sample_rate // 2)
 
 
 def quantize_pcm16(samples: np.ndarray) -> np.ndarray:

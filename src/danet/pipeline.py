@@ -330,7 +330,7 @@ def _load_split(records: list[corpus_mod.MixtureRecord], cfg: StftConfig) -> lis
         wave = read_wav(path)
         if wave.sample_rate != SAMPLE_RATE:
             raise ValueError(f"{path}: audio is {wave.sample_rate} Hz, training expects "
-                             f"{SAMPLE_RATE} Hz (danet.dsp.decimate2 converts 16 kHz)")
+                             f"{SAMPLE_RATE} Hz")
         return wave
 
     out = []

@@ -15,7 +15,7 @@ from danet.corpus import (
     scan_corpus,
     synth_corpus,
 )
-from danet.dsp import Waveform, read_pcm16, read_wav, write_wav
+from danet.dsp import Waveform, read_pcm16, read_wav, write_pcm16, write_wav
 
 
 def tone_wave(freq=220.0, n=8000, amp=0.3, rate=8000):
@@ -211,6 +211,21 @@ class TestBuildDataset:
             '"speaker_ids": ["spk00", "spk04"], "snr_db": 1.8992258750578301, '
             '"gain": 0.7255625864969293, "scale": 1.0, "duration": 1.5, '
             '"seed": 1494391660}\n')
+
+    @pytest.mark.parametrize("seed", [3, 5, 6])
+    def test_mixed_rates_refused_before_writing(self, tmp_path, seed):
+        # One speaker at 16 kHz. make_mixture alone fails only at the first
+        # mismatched pair: at these seeds, after 9, 6 and 3 WAVs are on disk.
+        synth_corpus(tmp_path / "corpus", n_speakers=6, utts_per_speaker=6, dur=1.5, seed=3)
+        for wav in (tmp_path / "corpus" / "spk02").glob("*.wav"):
+            write_pcm16(wav, read_pcm16(wav)[0], 16000)
+        table = scan_corpus(tmp_path / "corpus")
+        with pytest.raises(ValueError, match="share one sample rate") as err:
+            build_dataset(table, DatasetRecipe(12.0, 4.0, 4.0, seed=seed), tmp_path / "mix")
+        assert "spk02" in str(err.value) and "is 16000 Hz" in str(err.value)
+        assert "is 8000 Hz" in str(err.value)
+        assert not list(tmp_path.glob("mix/**/*.wav"))
+        assert not (tmp_path / "mix" / "manifest.jsonl").exists()
 
     def test_version_1_manifest_still_loads(self, small_corpus, tmp_path):
         _, table = small_corpus

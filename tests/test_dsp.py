@@ -1,4 +1,4 @@
-"""Signal-path tests: window COLA, STFT/ISTFT round trips, features, decimation."""
+"""Signal-path tests: window COLA, STFT/ISTFT round trips, features, WAV I/O."""
 
 import tracemalloc
 
@@ -11,8 +11,6 @@ from danet.dsp import (
     ComplexSpectrogram,
     StftConfig,
     Waveform,
-    decimate2,
-    decimation_taps,
     feature_stats,
     istft,
     log_features,
@@ -262,59 +260,6 @@ class TestLogFeatures:
             feature_stats(iter([np.ones((2, 3))]), 4)
         with pytest.raises(ValueError, match="at least one"):
             feature_stats([])
-
-
-class TestDecimate2:
-    def tone(self, freq, n=16000, rate=16000):
-        return Waveform(0.5 * np.sin(2 * np.pi * freq * np.arange(n) / rate), rate)
-
-    def tap_response(self, freq):
-        # Filter-response oracle: direct DTFT evaluation of the designed taps.
-        taps = decimation_taps()
-        n = np.arange(taps.size)
-        return abs(np.sum(taps * np.exp(-2j * np.pi * freq * n / 16000)))
-
-    def test_taps_equal_scipy_kaiser_design(self):
-        # scipy.signal is the oracle only; the package designs the taps in numpy.
-        from scipy.signal import firwin, kaiserord
-
-        numtaps, beta = kaiserord(65.0, 800.0 / 8000.0)
-        expected = firwin(numtaps | 1, 3600.0, window=("kaiser", beta), fs=16000)
-        taps = decimation_taps()
-        assert taps.shape == expected.shape == (81,)
-        assert np.allclose(taps, expected, rtol=0, atol=1e-15)
-
-    def test_wrong_rate_rejected(self):
-        with pytest.raises(ValueError, match="16000"):
-            decimate2(Waveform(np.zeros(100), 8000))
-
-    def test_dc_gain(self):
-        out = decimate2(Waveform(np.full(8000, 0.25), 16000))
-        assert out.sample_rate == 8000
-        mid = out.samples[500:-500]
-        ripple_db = 20 * np.log10(np.max(np.abs(mid)) / 0.25)
-        assert abs(ripple_db) < 0.1
-
-    def test_5khz_tone_attenuated(self):
-        assert 20 * np.log10(self.tap_response(5000.0)) <= -60.0
-        out = decimate2(self.tone(5000.0)).samples[500:-500]
-        atten_db = 20 * np.log10(np.max(np.abs(out)) / 0.5)
-        assert atten_db <= -60.0
-
-    def test_1khz_tone_preserved(self):
-        pred = self.tap_response(1000.0)
-        assert abs(20 * np.log10(pred)) < 0.05
-        out = decimate2(self.tone(1000.0)).samples[500:-500]
-        gain_db = 20 * np.log10(np.max(np.abs(out)) / 0.5)
-        assert abs(gain_db) < 0.1
-
-    def test_delay_compensated(self):
-        # After group-delay compensation a passband tone lines up in phase.
-        wave = self.tone(1000.0)
-        out = decimate2(wave)
-        expected = wave.samples[::2]
-        err = np.linalg.norm(out.samples[500:-500] - expected[500:-500])
-        assert err < 0.02 * np.linalg.norm(expected[500:-500])
 
 
 class TestWavIO:
