@@ -1,6 +1,7 @@
 """BSS-eval style scoring: project an estimate onto delayed copies of the
 references, split it into target / interference / artifact parts, and report
-SDR, SIR and SAR with permutation resolution."""
+SDR, SIR and SAR with permutation resolution. `evaluate_set` scores what
+`pipeline.estimate` returns for a manifest split, in forked worker processes."""
 
 import csv
 import itertools
@@ -15,13 +16,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import cho_factor, cho_solve
 
+from . import corpus, pipeline
 from .clustering import ALGOS
 from .dsp import StftConfig
 
 MAX_PERMUTATION_SOURCES = 4
 # The variables that set OpenBLAS's thread count; the first non-empty one wins.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-EVAL_ALGOS = (*ALGOS, "oracle_wfm", "oracle_ibm", "mixture")
 
 
 @dataclass(frozen=True)
@@ -186,34 +187,17 @@ def resolve_permutation(ests: list[np.ndarray], refs: list[np.ndarray],
 REPORT_HEADER = ["utt_id", "speaker", "permuted_to", "sdr_db", "sir_db", "sar_db", "pesq"]
 
 
-def _score_record(rec, ckpt, algo: str, cfg: EvalConfig, seed: int,
-                  stft_cfg: StftConfig):
-    """Separate and score one mixture: its CSV rows, its per-speaker
+def _score_record(rec, ckpt, algo: str, cfg: EvalConfig, seed: int, stft_cfg: StftConfig):
+    """Estimate and score one mixture: its CSV rows, its per-speaker
     (SDR, SIR, SAR) tuples, and the warnings raised on the way as
     (message, category, filename, lineno)."""
-    from . import pipeline
-    from .dsp import istft, read_wav
-    from .masking import apply_mask, binarize
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        mix = read_wav(rec.mixture_path)
-        refs = [read_wav(p) for p in rec.source_paths]
-        n_src = len(refs)
-        if algo in ALGOS:
-            ests = pipeline.separate(mix, ckpt, n_src, algo=algo, seed=seed)
-            est_samples = [e.samples for e in ests]
-        elif algo in ("oracle_wfm", "oracle_ibm"):
-            spec, _, masks = pipeline.mixture_masks(mix, refs, stft_cfg)
-            if algo == "oracle_ibm":
-                masks = [binarize(m) for m in masks]
-            est_samples = [istft(apply_mask(spec, m)).samples for m in masks]
-        else:
-            est_samples = [mix.samples.copy() for _ in range(n_src)]
-        metrics = resolve_permutation(est_samples, [r.samples for r in refs], cfg)
-    rows = [[rec.utt_id, i, metrics.permutation[i], f"{metrics.sdr[i]:.4f}",
-             f"{metrics.sir[i]:.4f}", f"{metrics.sar[i]:.4f}", "n/a"] for i in range(n_src)]
-    scores = [(metrics.sdr[i], metrics.sir[i], metrics.sar[i]) for i in range(n_src)]
+        ests, refs = pipeline.estimate(rec, ckpt, algo, seed, stft_cfg)
+        metrics = resolve_permutation(ests, refs, cfg)
+    scores = list(zip(metrics.sdr, metrics.sir, metrics.sar))
+    rows = [[rec.utt_id, i, metrics.permutation[i], *(f"{v:.4f}" for v in score), "n/a"]
+            for i, score in enumerate(scores)]
     return rows, scores, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
@@ -261,12 +245,8 @@ def _scored(records, job):
 def evaluate_set(manifest_path, ckpt, algo: str, cfg: EvalConfig, out_csv,
                  split: str = "test", seed: int = 0,
                  stft_cfg: StftConfig = StftConfig()) -> dict:
-    """Separate and score every mixture of a manifest split; write a CSV report.
-
-    algo selects the estimator: 'kmeans'/'gmm' run the model in ckpt,
-    'oracle_wfm'/'oracle_ibm' apply ideal masks built from the reference
-    stems at the geometry stft_cfg, and 'mixture' scores the unprocessed
-    mixture as every estimate. PESQ is out of scope and reported as n/a.
+    """Score every mixture of a manifest split as `pipeline.estimate` estimates
+    it by algo; write a CSV report. PESQ is out of scope and reported as n/a.
 
     Mixtures are scored in forked worker processes, one per usable core
     that the BLAS threads leave free (see `_worker_count`), or in this
@@ -274,11 +254,9 @@ def evaluate_set(manifest_path, ckpt, algo: str, cfg: EvalConfig, out_csv,
     manifest order, so the report and summary equal a serial run's at the
     same BLAS thread count.
     """
-    from . import corpus
-
     if algo in ALGOS and ckpt is None:
         raise ValueError(f"algo {algo!r} needs a checkpoint")
-    if algo not in EVAL_ALGOS:
+    if algo not in pipeline.EVAL_ALGOS:
         raise ValueError(f"unknown evaluation algo {algo!r}")
 
     records = [r for r in corpus.load_manifest(manifest_path) if r.split == split]
@@ -299,7 +277,6 @@ def evaluate_set(manifest_path, ckpt, algo: str, cfg: EvalConfig, out_csv,
         writer.writerows(rows)
         if per_speaker:
             means = np.mean(np.array(per_speaker), axis=0)
-            writer.writerow(["MEAN", "", "", f"{means[0]:.4f}", f"{means[1]:.4f}",
-                             f"{means[2]:.4f}", "n/a"])
+            writer.writerow(["MEAN", "", "", *(f"{m:.4f}" for m in means), "n/a"])
             summary.update(sdr=float(means[0]), sir=float(means[1]), sar=float(means[2]))
     return summary

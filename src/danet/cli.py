@@ -16,13 +16,13 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .bsseval import BLAS_THREAD_VARS, EVAL_ALGOS, EvalConfig, evaluate_set
+from .bsseval import BLAS_THREAD_VARS, EvalConfig, evaluate_set
 from .clustering import ALGOS
 from .corpus import DatasetRecipe, build_dataset, scan_corpus, synth_corpus
-from .dsp import StftConfig, read_wav, write_wav
+from .dsp import StftConfig, write_wav
 from .network import CELL_KINDS, ArchSpec, count_params, finite_difference_check
-from .pipeline import (HyperParams, TrainLog, load_checkpoint, save_checkpoint, separate,
-                       train)
+from .pipeline import (EVAL_ALGOS, HyperParams, TrainLog, load_checkpoint, read_audio,
+                       save_checkpoint, separate, train)
 
 # The arch/stft/train/eval keys are the fields of these dataclasses, whose
 # defaults are the config defaults.
@@ -235,7 +235,7 @@ def cmd_train(cfg: dict, args) -> CommandOutcome:
 def cmd_separate(cfg: dict, args) -> CommandOutcome:
     in_path = Path(args.input)
     ckpt = load_checkpoint(args.checkpoint)
-    mixture = read_wav(in_path)
+    mixture = read_audio(in_path)
     outs = separate(mixture, ckpt, n_speakers=cfg["separate.n_speakers"],
                     algo=cfg["separate.cluster"], seed=cfg["separate.seed"])
     out_dir = Path(args.out_dir) if args.out_dir else in_path.parent

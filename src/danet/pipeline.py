@@ -1,5 +1,5 @@
-"""Training loop (Adam, LR halving on validation plateaus, checkpoints) and
-the clustering-based separation procedure used at test time."""
+"""Training loop (Adam, LR halving on validation plateaus, checkpoints), the
+8-kHz WAV reader, clustering-based separation and each eval algo's estimates."""
 
 import csv
 import os
@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import corpus as corpus_mod
-from .clustering import cluster_attractors
+from .clustering import ALGOS, cluster_attractors
 from .dsp import (
     SAMPLE_RATE,
     StftConfig,
@@ -42,6 +42,7 @@ from .network import (
 
 CHECKPOINT_MAGIC = b"DANC"
 CHECKPOINT_VERSION = 1
+EVAL_ALGOS = (*ALGOS, "oracle_wfm", "oracle_ibm", "mixture")
 
 
 @dataclass(frozen=True)
@@ -323,20 +324,22 @@ def mixture_masks(mix: Waveform, sources: list[Waveform], cfg: StftConfig):
     return spec, magnitude(spec), masks
 
 
+def read_audio(path) -> Waveform:
+    """A WAV at SAMPLE_RATE; a file at any other rate is refused by its path."""
+    wave = read_wav(path)
+    if wave.sample_rate != SAMPLE_RATE:
+        raise ValueError(f"{path}: audio is {wave.sample_rate} Hz, training expects "
+                         f"{SAMPLE_RATE} Hz, as do separation and evaluation")
+    return wave
+
+
 def _load_split(records: list[corpus_mod.MixtureRecord], cfg: StftConfig) -> list[_Utterance]:
     """Each mixture's magnitude and binary ideal masks (bool; each batch
     writes them into its float64 targets as exact 0.0 and 1.0)."""
-    def read(path) -> Waveform:
-        wave = read_wav(path)
-        if wave.sample_rate != SAMPLE_RATE:
-            raise ValueError(f"{path}: audio is {wave.sample_rate} Hz, training expects "
-                             f"{SAMPLE_RATE} Hz")
-        return wave
-
     out = []
     for rec in records:
-        _, mix_mag, masks = mixture_masks(read(rec.mixture_path),
-                                          [read(p) for p in rec.source_paths], cfg)
+        _, mix_mag, masks = mixture_masks(read_audio(rec.mixture_path),
+                                          [read_audio(p) for p in rec.source_paths], cfg)
         out.append(_Utterance(mix_mag, [binarize(m) for m in masks]))
     return out
 
@@ -439,3 +442,23 @@ def separate(mixture: Waveform, ckpt: Checkpoint, n_speakers: int = 2,
     attractors = cluster_attractors(V, n_speakers, algo=algo, seed=seed)
     masks = estimate_masks(V, attractors, ckpt.stft_cfg.num_freqs)
     return [istft(apply_mask(spec, m)) for m in masks]
+
+
+def estimate(rec, ckpt: Checkpoint | None, algo: str, seed: int, stft_cfg: StftConfig):
+    """One mixture's estimates and reference stems, as sample arrays. algo,
+    one of EVAL_ALGOS, selects the estimator: 'kmeans'/'gmm' run the model
+    in ckpt, 'oracle_wfm'/'oracle_ibm' apply ideal masks built from the
+    reference stems at the geometry stft_cfg, and 'mixture' takes the
+    unprocessed mixture as every estimate."""
+    mix = read_audio(rec.mixture_path)
+    refs = [read_audio(p) for p in rec.source_paths]
+    if algo in ALGOS:
+        ests = separate(mix, ckpt, len(refs), algo=algo, seed=seed)
+    elif algo in ("oracle_wfm", "oracle_ibm"):
+        spec, _, masks = mixture_masks(mix, refs, stft_cfg)
+        if algo == "oracle_ibm":
+            masks = [binarize(m) for m in masks]
+        ests = [istft(apply_mask(spec, m)) for m in masks]
+    else:
+        ests = [mix] * len(refs)
+    return [e.samples for e in ests], [r.samples for r in refs]

@@ -1,6 +1,13 @@
 """Shared fixtures plus the acceptance-criteria summary printed after a run."""
 
-import pytest
+import os
+
+# One OpenBLAS thread per process, set before anything imports numpy: the
+# evaluations then fan out to forked workers, one per core, as `danet eval`
+# does at one thread (bsseval._worker_count).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
 
 _ACCEPTANCE: dict[int, list] = {}
 

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import warnings
 from contextlib import contextmanager
 
@@ -432,7 +433,7 @@ class TestEvaluateSet:
         arch = ArchSpec(input_dim=129, num_layers=1, hidden_per_direction=8, embed_dim=4)
         return train(dataset, HyperParams(epochs=1, batch_size=4), arch).best
 
-    @pytest.mark.parametrize("algo", ["oracle_wfm", "mixture", "kmeans"])
+    @pytest.mark.parametrize("algo", ["oracle_wfm", "oracle_ibm", "mixture", "kmeans", "gmm"])
     def test_workers_match_the_in_process_run(self, dataset, tiny_ckpt, tmp_path,
                                               monkeypatch, algo):
         from danet import bsseval
@@ -446,7 +447,7 @@ class TestEvaluateSet:
             return scored(*args, **kwargs)
 
         monkeypatch.setattr(bsseval, "resolve_permutation", spy)
-        ckpt = tiny_ckpt if algo == "kmeans" else None
+        ckpt = tiny_ckpt if algo in ("kmeans", "gmm") else None
         reports = []
         for cores in (1, 2):
             self.use_cores(monkeypatch, cores)
@@ -492,6 +493,27 @@ class TestEvaluateSet:
                              tmp_path / "r.csv")
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
+
+    def test_off_rate_stem_refused_by_name(self, dataset, tmp_path, monkeypatch):
+        from danet.bsseval import evaluate_set
+        from danet.dsp import read_pcm16, write_pcm16
+
+        rows = [json.loads(line) for line in dataset.read_text().splitlines()]
+        tests = [r for r in rows if r.get("split") == "test"]
+        for r in tests:
+            r["mixture_path"] = str(dataset.parent / r["mixture_path"])
+            r["source_paths"] = [str(dataset.parent / p) for p in r["source_paths"]]
+        stem = tmp_path / "stem16k.wav"
+        write_pcm16(stem, read_pcm16(tests[0]["source_paths"][0])[0], 16000)
+        tests[0]["source_paths"][0] = str(stem)
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows[:1] + tests))
+
+        for cores in (1, 2):
+            self.use_cores(monkeypatch, cores)
+            with pytest.raises(ValueError, match=re.escape(f"{stem}: audio is 16000 Hz")):
+                evaluate_set(manifest, None, "oracle_wfm", EvalConfig(proj_len=8),
+                             tmp_path / "r.csv")
 
     def test_bad_algo_rejected_before_scoring(self, dataset, tmp_path):
         from danet.bsseval import evaluate_set

@@ -276,6 +276,16 @@ class TestSeparateCommand:
         assert rc == 1
         assert "8000" in capsys.readouterr().err
 
+    def test_wrong_sample_rate_names_the_file(self, workspace, tmp_path, capsys):
+        mix_wav = next((workspace / "mix" / "test").glob("*_mix.wav"))
+        bad = tmp_path / "x16.wav"
+        write_wav(bad, Waveform(read_wav(mix_wav).samples, 16000))
+        rc = main(["separate", "--checkpoint", str(workspace / "run" / "checkpoint.danc"),
+                   "--input", str(bad), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"{bad}: audio is 16000 Hz" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestEvalCommand:
     def test_oracle_eval_writes_report(self, workspace, tmp_path, capsys):
