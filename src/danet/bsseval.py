@@ -79,9 +79,10 @@ class _Projector:
         # windows[i, j, a, b] = lags[i, j, L - 1 + a - b], the lag a - b
         windows = sliding_window_view(lags, L, axis=-1)[..., ::-1]
         G = np.array(windows.transpose(0, 2, 1, 3)).reshape(N * L, N * L)
-        # Diagonal lift relative to the autocorrelation scale keeps the
-        # conditioning of the solve independent of signal amplitude.
-        self._lift = 1e-10 * max(float(np.max(np.diag(G))), 1.0)
+        # A lift relative to the largest reference energy (1 when every
+        # reference is silent) keeps the solve, its figures and its warnings
+        # independent of the signals' scale.
+        self._lift = 1e-10 * (float(np.max(np.diag(G))) or 1.0)
         G.reshape(-1)[::N * L + 1] += self._lift
         return G
 

@@ -307,7 +307,7 @@ COMMANDS = {
     "eval": (cmd_eval, "score a manifest split",
              {"--manifest": "file", "--checkpoint": "file?", "--out": "out"},
              {"--algo": "eval.algo", "--split": "eval.split", "--proj-len": "eval.proj_len"}),
-    "count-params": (cmd_count_params, "closed-form parameter count", {},
+    "count-params": (cmd_count_params, "parameter count", {},
                      {"--cell": "arch.cell", "--layers": "arch.layers",
                       "--hidden": "arch.hidden", "--embed-dim": "arch.embed_dim",
                       "--input-dim": "arch.input_dim"}),

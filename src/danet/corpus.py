@@ -195,15 +195,13 @@ def build_dataset(table: SpeakerTable, recipe: DatasetRecipe, out_dir) -> list[M
     The stored mixture WAV is the integer sum of the stored stem WAVs, so
     additivity holds exactly on disk. Per split, the total mixture duration
     may not exceed the audio available in that split's utterance pool, and
-    all utterances must share one sample rate; both are checked before any WAV is written.
+    every utterance must be at SAMPLE_RATE; both are checked before any WAV is written.
     """
     out_dir = Path(out_dir)
-    file_at_rate = {}
     for u in table.utterances:
-        file_at_rate.setdefault(u.sample_rate, u.path)
-    if len(file_at_rate) > 1:
-        raise ValueError("utterances do not share one sample rate: " + ", ".join(
-            f"{path} is {rate} Hz" for rate, path in sorted(file_at_rate.items())))
+        if u.sample_rate != SAMPLE_RATE:
+            raise ValueError(f"utterances must share one sample rate, which is "
+                             f"{SAMPLE_RATE} Hz: {u.path} is {u.sample_rate} Hz")
     pools = _partition_pools(table, recipe)
     for split, target in recipe.targets().items():
         capacity = sum(u.duration for u in pools[split])

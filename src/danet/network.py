@@ -47,29 +47,10 @@ class ArchSpec:
             raise ValueError(f"cell_kind must be {' or '.join(map(repr, CELL_KINDS))}, "
                              f"got {self.cell_kind!r}")
 
-    @property
-    def fc_output(self) -> int:
-        return self.embed_dim * self.input_dim
-
-    def layer_input(self, layer: int) -> int:
-        return self.input_dim if layer == 0 else 2 * self.hidden_per_direction
-
 
 def count_params(arch: ArchSpec) -> int:
-    """Closed-form trainable-parameter count.
-
-    Per direction and layer: gates * (in*h + h*h + 2h) with 3 gates for GRU
-    and 4 for LSTM; both an input and a recurrent bias per gate. The final
-    linear map adds 2h * (K*F) weights plus K*F biases.
-    """
-    gates = 3 if arch.cell_kind == "gru" else 4
-    h = arch.hidden_per_direction
-    total = 0
-    for layer in range(arch.num_layers):
-        per_direction = gates * (arch.layer_input(layer) * h + h * h + 2 * h)
-        total += 2 * per_direction
-    total += 2 * h * arch.fc_output + arch.fc_output
-    return total
+    """Trainable-parameter count: the sizes of the tensors `tensor_shapes` declares."""
+    return sum(math.prod(shape) for shape in tensor_shapes(arch).values())
 
 
 @dataclass
@@ -87,6 +68,8 @@ class ModelParams:
     feat_std: np.ndarray = field(default=None)
 
     def __post_init__(self):
+        if self.arch.cell_kind != "gru":
+            raise ValueError("only GRU cells are trainable")
         if self.feat_mean is None:
             self.feat_mean = np.zeros(self.arch.input_dim)
         if self.feat_std is None:
@@ -103,26 +86,25 @@ class ModelParams:
         prefix = f"l{layer}.{direction}."
         return {k: self.tensors[prefix + k] for k in CELL_TENSORS}
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.arch, {k: v.copy() for k, v in self.tensors.items()},
-                           self.feat_mean.copy(), self.feat_std.copy())
-
 
 def tensor_shapes(arch: ArchSpec) -> dict[str, tuple]:
-    if arch.cell_kind != "gru":
-        raise ValueError("only GRU cells are trainable")
+    """Name -> shape of each parameter tensor, in `ModelParams` order. An
+    LSTM cell has the GRU's tensors with four gates' rows instead of three,
+    and both an input and a recurrent bias per gate."""
     h = arch.hidden_per_direction
+    rows = (3 if arch.cell_kind == "gru" else 4) * h
     shapes: dict[str, tuple] = {}
     for layer in range(arch.num_layers):
-        d_in = arch.layer_input(layer)
+        d_in = arch.input_dim if layer == 0 else 2 * h
         for direction in DIRECTIONS:
             prefix = f"l{layer}.{direction}."
-            shapes[prefix + "W"] = (3 * h, d_in)
-            shapes[prefix + "U"] = (3 * h, h)
-            shapes[prefix + "b_i"] = (3 * h,)
-            shapes[prefix + "b_h"] = (3 * h,)
-    shapes["fc.W"] = (arch.fc_output, 2 * h)
-    shapes["fc.b"] = (arch.fc_output,)
+            shapes[prefix + "W"] = (rows, d_in)
+            shapes[prefix + "U"] = (rows, h)
+            shapes[prefix + "b_i"] = (rows,)
+            shapes[prefix + "b_h"] = (rows,)
+    fc_output = arch.embed_dim * arch.input_dim
+    shapes["fc.W"] = (fc_output, 2 * h)
+    shapes["fc.b"] = (fc_output,)
     return shapes
 
 

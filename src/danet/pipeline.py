@@ -6,6 +6,7 @@ import os
 import struct
 import sys
 import time
+from copy import deepcopy
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -87,10 +88,6 @@ class AdamState:
         return cls(m={k: np.zeros_like(p) for k, p in params.tensors.items()},
                    v={k: np.zeros_like(p) for k, p in params.tensors.items()})
 
-    def copy(self) -> "AdamState":
-        return AdamState({k: a.copy() for k, a in self.m.items()},
-                         {k: a.copy() for k, a in self.v.items()}, self.t)
-
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState,
               lr: float, beta1: float = HyperParams.beta1,
@@ -157,9 +154,6 @@ class Checkpoint:
     @property
     def arch(self) -> ArchSpec:
         return self.params.arch
-
-    def copy(self) -> "Checkpoint":
-        return replace(self, params=self.params.copy(), adam=self.adam.copy())
 
     def end_epoch(self, epoch: int, val_loss: float, hyper: HyperParams) -> bool:
         """Close `epoch` with its validation loss; True when it is a new best.
@@ -371,7 +365,7 @@ def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
 
     # The run's state; a fresh run starts from an epoch-0 checkpoint.
     if resume_from is not None:
-        ckpt = resume_from.copy()
+        ckpt = deepcopy(resume_from)
     else:
         params = init_params(arch, hyper.seed)
         params.feat_mean, params.feat_std = feature_stats(
@@ -419,7 +413,7 @@ def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
         is_best = (ckpt.end_epoch(epoch, val_loss, hyper)
                    or (best is None and resume_from is None))
         if is_best:
-            best = ckpt.copy()
+            best = deepcopy(ckpt)
         if progress is not None:
             progress(log.rows[-1], ckpt, is_best)
     return TrainResult(best=best, last=ckpt, log=log)

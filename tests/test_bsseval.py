@@ -114,12 +114,13 @@ class TestDecompose:
 def ridge_oracle(est, refs, L, target):
     """(s_target, e_interf, e_artif) from dense lstsq on the explicit matrix
     of delayed reference copies, with the projector's diagonal lift
-    (1e-10 x the largest reference energy, at least 1e-10) as ridge rows.
+    (1e-10 x the largest reference energy, or 1e-10 when every reference is
+    silent) as ridge rows.
     Plain lstsq differs from it only where the references are nearly
     collinear: by up to 1e-3 on 7-sample draws, before this projector too."""
     n = est.size
     padded = np.concatenate([est, np.zeros(L - 1)])
-    ridge = np.sqrt(1e-10 * max(max(r @ r for r in refs), 1.0))
+    ridge = np.sqrt(1e-10 * (max(r @ r for r in refs) or 1.0))
 
     def project(which):
         a = np.zeros((n + L - 1, len(which) * L))
@@ -149,6 +150,25 @@ def test_projector_matches_dense_oracle_property(n_refs, L, n_ests, n, seed):
             assert np.allclose(sum(got), padded, rtol=0, atol=1e-9)
             for part, want in zip(got, ridge_oracle(est, refs, L, j)):
                 assert np.allclose(part, want, rtol=0, atol=1e-7)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(n_refs=st.integers(1, 3), L=st.integers(1, 8), n=st.integers(1, 299),
+       log_scale=st.floats(-6, 6), seed=st.integers(0, 2**32 - 1))
+def test_scores_and_warnings_do_not_depend_on_the_scale_property(n_refs, L, n, log_scale,
+                                                                  seed):
+    rng = np.random.default_rng(seed)
+    refs = [rng.normal(size=n) for _ in range(n_refs)]
+    ests = [rng.normal(size=n) for _ in range(n_refs)]
+    runs = []
+    for a in (1.0, 10.0 ** log_scale):
+        with warnings_catcher() as caught:
+            m = resolve_permutation([a * e for e in ests], [a * r for r in refs],
+                                    EvalConfig(proj_len=L))
+        runs.append((np.stack([m.sdr, m.sir, m.sar]), [str(w.message) for w in caught]))
+    (unit, unit_warnings), (scaled, scaled_warnings) = runs
+    assert np.max(np.abs(scaled - unit)) <= 1e-9
+    assert scaled_warnings == unit_warnings
 
 
 class TestProjector:

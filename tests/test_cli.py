@@ -18,7 +18,7 @@ from danet.bsseval import EvalConfig, evaluate_set
 from danet.cli import DEFAULTS, echo_config, load_config, main
 from danet.dsp import StftConfig, Waveform, read_wav, write_wav
 from danet.network import ArchSpec, count_params, finite_difference_check
-from danet.pipeline import load_checkpoint
+from danet.pipeline import HyperParams, load_checkpoint, save_checkpoint, train
 
 
 def subprocess_env() -> dict:
@@ -170,6 +170,34 @@ class TestTrainCommand:
             "epoch", "1", "2", "3"]
         assert (load_checkpoint(whole / "checkpoint.danc").epoch,
                 load_checkpoint(whole / "last.danc").lr) == (2, 0.05)
+
+    def test_best_is_a_snapshot_of_its_epoch(self, workspace, tmp_path):
+        # The recipe above, whose best is epoch 2 of 3, run through the library.
+        def progress(row, ckpt, is_best):
+            save_checkpoint(ckpt, tmp_path / f"epoch{row.epoch}.danc")
+
+        result = train(workspace / "mix" / "manifest.jsonl",
+                       HyperParams(lr0=0.1, lr_halve_patience=1, epochs=3, batch_size=4,
+                                   seed=3),
+                       ArchSpec(num_layers=1, hidden_per_direction=8, embed_dim=4),
+                       progress=progress)
+        save_checkpoint(result.best, tmp_path / "best.danc")
+        save_checkpoint(result.last, tmp_path / "last.danc")
+        best = (tmp_path / "best.danc").read_bytes()
+        assert result.best.epoch == 2
+        assert best == (tmp_path / "epoch2.danc").read_bytes()
+        assert best != (tmp_path / "last.danc").read_bytes()
+        assert not all(np.array_equal(result.best.params.tensors[k], t)
+                       for k, t in result.last.params.tensors.items())
+
+    def test_lstm_cells_refused(self, workspace, tmp_path, capsys):
+        rc = main(["--set", "arch.cell=lstm", "train",
+                   "--manifest", str(workspace / "mix" / "manifest.jsonl"),
+                   "--out", str(tmp_path / "run"), "--epochs", "1", "--batch-size", "4",
+                   "--layers", "1", "--hidden", "8", "--embed-dim", "4"])
+        assert rc == 1
+        assert "only GRU cells are trainable" in capsys.readouterr().err
+        assert not list((tmp_path / "run").iterdir())
 
     def test_refused_resume_keeps_the_earlier_config(self, workspace, tmp_path):
         args = ["train", "--manifest", str(workspace / "mix" / "manifest.jsonl"),

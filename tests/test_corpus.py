@@ -227,6 +227,18 @@ class TestBuildDataset:
         assert not list(tmp_path.glob("mix/**/*.wav"))
         assert not (tmp_path / "mix" / "manifest.jsonl").exists()
 
+    def test_corpus_off_the_model_rate_refused_before_writing(self, tmp_path):
+        # TIMIT's 16 kHz throughout: one rate, but not the one the model runs at.
+        synth_corpus(tmp_path / "corpus", n_speakers=4, utts_per_speaker=4, dur=1.5, seed=3)
+        for wav in (tmp_path / "corpus").glob("*/*.wav"):
+            write_pcm16(wav, read_pcm16(wav)[0], 16000)
+        table = scan_corpus(tmp_path / "corpus")
+        with pytest.raises(ValueError, match="share one sample rate, which is 8000 Hz") as err:
+            build_dataset(table, DatasetRecipe(6.0, 2.0, 2.0, seed=1), tmp_path / "mix")
+        assert f"{table.utterances[0].path} is 16000 Hz" in str(err.value)
+        assert not list(tmp_path.glob("mix/**/*.wav"))
+        assert not (tmp_path / "mix" / "manifest.jsonl").exists()
+
     def test_version_1_manifest_still_loads(self, small_corpus, tmp_path):
         _, table = small_corpus
         build_dataset(table, self.recipe(), tmp_path / "mix")

@@ -1,5 +1,7 @@
 """Embedding network tests: cell math, forward pass, attractors, loss, counts."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -341,7 +343,44 @@ class TestBackward:
             assert np.array_equal(first[1][name], second[1][name])
 
 
+def closed_form_count(arch: ArchSpec) -> int:
+    """Per layer and direction, gates * (in*h + h*h + 2h) with 3 gates for GRU
+    and 4 for LSTM; the linear map adds 2h * (K*F) weights and K*F biases."""
+    gates = 3 if arch.cell_kind == "gru" else 4
+    h = arch.hidden_per_direction
+    fc_output = arch.embed_dim * arch.input_dim
+    total = 2 * h * fc_output + fc_output
+    for layer in range(arch.num_layers):
+        d_in = arch.input_dim if layer == 0 else 2 * h
+        total += 2 * gates * (d_in * h + h * h + 2 * h)
+    return total
+
+
 class TestCountParams:
+    def test_sum_of_declared_shapes_equals_the_closed_form(self):
+        for cell_kind, input_dim, num_layers, h, K in itertools.product(
+                ("gru", "lstm"), (1, 129), range(1, 5), (1, 8, 300), (0, 20)):
+            arch = ArchSpec(input_dim, num_layers, h, K, cell_kind)
+            assert count_params(arch) == closed_form_count(arch), arch
+
+    def test_lstm_declares_the_gru_tensors_with_four_gates(self):
+        gru = ArchSpec(input_dim=5, num_layers=2, hidden_per_direction=3, embed_dim=2)
+        gru_shapes = tensor_shapes(gru)
+        lstm_shapes = tensor_shapes(dataclasses.replace(gru, cell_kind="lstm"))
+        assert list(lstm_shapes) == list(gru_shapes)
+        for name, (rows, *rest) in gru_shapes.items():
+            if not name.startswith("fc."):
+                rows = rows // 3 * 4
+            assert lstm_shapes[name] == (rows, *rest), name
+
+    def test_only_gru_cells_are_trainable(self):
+        arch = ArchSpec(input_dim=5, num_layers=1, hidden_per_direction=3, embed_dim=2,
+                        cell_kind="lstm")
+        with pytest.raises(ValueError, match="only GRU cells are trainable"):
+            init_params(arch, 0)
+        with pytest.raises(ValueError, match="only GRU cells are trainable"):
+            ModelParams(arch, {k: np.zeros(s) for k, s in tensor_shapes(arch).items()})
+
     def test_gru_full_size(self):
         assert count_params(ArchSpec()) == 7_197_180
 

@@ -403,6 +403,15 @@ class TestTrain:
             assert np.array_equal(full.last.adam.m[name], resumed.last.adam.m[name])
             assert np.array_equal(full.last.adam.v[name], resumed.last.adam.v[name])
 
+    def test_resume_leaves_its_checkpoint_unchanged(self, tiny_dataset, tmp_path):
+        # The saved bytes hold the parameters, the Adam moments, epoch and lr.
+        part = train(tiny_dataset, tiny_hyper(epochs=2), TINY_ARCH).last
+        save_checkpoint(part, tmp_path / "before.danc")
+        resumed = train(tiny_dataset, tiny_hyper(epochs=1), TINY_ARCH, resume_from=part)
+        save_checkpoint(part, tmp_path / "after.danc")
+        assert (part.epoch, resumed.last.epoch) == (2, 3)
+        assert (tmp_path / "after.danc").read_bytes() == (tmp_path / "before.danc").read_bytes()
+
     def test_resume_via_saved_checkpoint(self, tiny_dataset, tmp_path):
         part = train(tiny_dataset, tiny_hyper(epochs=2), TINY_ARCH)
         save_checkpoint(part.last, tmp_path / "last.danc")
@@ -519,11 +528,12 @@ class TestTrain:
         from danet.dsp import read_pcm16, write_pcm16
 
         synth_corpus(tmp_path / "corpus", n_speakers=4, utts_per_speaker=4, dur=2.0, seed=1)
-        for wav in (tmp_path / "corpus").glob("*/*.wav"):
-            write_pcm16(wav, read_pcm16(wav)[0], 16000)
         build_dataset(scan_corpus(tmp_path / "corpus"),
                       DatasetRecipe(train_s=6.0, valid_s=2.0, test_s=2.0, seed=1),
                       tmp_path / "mix")
+        # `danet mix` refuses a 16-kHz corpus, so the mixtures are rewritten after it.
+        for wav in (tmp_path / "mix").glob("*/*.wav"):
+            write_pcm16(wav, read_pcm16(wav)[0], 16000)
         with pytest.raises(ValueError, match=r"\.wav: audio is 16000 Hz, training expects 8000"):
             train(tmp_path / "mix" / "manifest.jsonl", tiny_hyper(), TINY_ARCH,
                   progress=lambda row: pytest.fail("an epoch ran"))
