@@ -6,7 +6,6 @@ SDR, SIR and SAR with permutation resolution. `evaluate_set` scores what
 import csv
 import itertools
 import multiprocessing
-import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -19,10 +18,9 @@ from scipy.linalg import cho_factor, cho_solve
 from . import corpus, pipeline
 from .clustering import ALGOS
 from .dsp import StftConfig
+from .pipeline import _worker_count
 
 MAX_PERMUTATION_SOURCES = 4
-# The variables that set OpenBLAS's thread count; the first non-empty one wins.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -214,23 +212,9 @@ def _score_in_worker(rec):
     return _score_record(rec, *_job)
 
 
-def _worker_count(n_records: int) -> int:
-    """Usable cores over the BLAS threads each worker inherits (OpenBLAS runs
-    one per core unless one of BLAS_THREAD_VARS is set), at most one per
-    record. More BLAS threads than cores spin against each other: two
-    workers at two threads each took 1.7-7x a serial run's time on a
-    2-core machine."""
-    if not hasattr(os, "sched_getaffinity"):   # not Linux: fork is no safe default
-        return 1
-    cores = len(os.sched_getaffinity(0))
-    setting = next((os.environ[var] for var in BLAS_THREAD_VARS if os.environ.get(var)), None)
-    threads = int(setting) if setting and setting.isdigit() and int(setting) > 0 else cores
-    return max(1, min(cores // threads, n_records))
-
-
 def _scored(records, job):
     """_score_record over records, in order: in forked worker processes
-    (`_worker_count` of them), else in this process.
+    (`pipeline._worker_count` of them), else in this process.
 
     fork, not spawn: a worker starts with the caller's imports, BLAS thread
     setting and checkpoint, with no re-import or pickling per call."""
@@ -250,7 +234,7 @@ def evaluate_set(manifest_path, ckpt, algo: str, cfg: EvalConfig, out_csv,
     it by algo; write a CSV report. PESQ is out of scope and reported as n/a.
 
     Mixtures are scored in forked worker processes, one per usable core
-    that the BLAS threads leave free (see `_worker_count`), or in this
+    that the BLAS threads leave free (see `pipeline._worker_count`), or in this
     process when that is one. Rows, means and warnings are gathered here in
     manifest order, so the report and summary equal a serial run's at the
     same BLAS thread count.

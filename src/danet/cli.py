@@ -16,13 +16,13 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .bsseval import BLAS_THREAD_VARS, EvalConfig, evaluate_set
+from .bsseval import EvalConfig, evaluate_set
 from .clustering import ALGOS
 from .corpus import DatasetRecipe, build_dataset, scan_corpus, synth_corpus
 from .dsp import StftConfig, write_wav
 from .network import CELL_KINDS, ArchSpec, count_params, finite_difference_check
-from .pipeline import (EVAL_ALGOS, HyperParams, TrainLog, load_checkpoint, read_audio,
-                       save_checkpoint, separate, train)
+from .pipeline import (BLAS_THREAD_VARS, EVAL_ALGOS, HyperParams, TrainLog,
+                       load_checkpoint, read_audio, save_checkpoint, separate, train)
 
 # The arch/stft/train/eval keys are the fields of these dataclasses, whose
 # defaults are the config defaults.

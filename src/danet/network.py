@@ -109,12 +109,15 @@ def tensor_shapes(arch: ArchSpec) -> dict[str, tuple]:
 
 
 def init_params(arch: ArchSpec, seed: int) -> ModelParams:
-    """Uniform init in [-1/sqrt(h), 1/sqrt(h)] per tensor, seeded."""
+    """Uniform init in [-1/sqrt(h), 1/sqrt(h)] per tensor, seeded, drawn into
+    a skeleton that ModelParams has accepted, so a refused cell draws nothing."""
+    params = ModelParams(arch, {name: np.empty(shape)
+                                for name, shape in tensor_shapes(arch).items()})
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(arch.hidden_per_direction)
-    tensors = {name: rng.uniform(-bound, bound, size=shape)
-               for name, shape in tensor_shapes(arch).items()}
-    return ModelParams(arch, tensors)
+    for tensor in params.tensors.values():
+        tensor[...] = rng.uniform(-bound, bound, size=tensor.shape)
+    return params
 
 
 # Buffers that reuse another buffer's memory, each written only once the

@@ -1,13 +1,18 @@
-"""Training loop (Adam, LR halving on validation plateaus, checkpoints), the
-8-kHz WAV reader, clustering-based separation and each eval algo's estimates."""
+"""Training loop (Adam, LR halving on validation plateaus, checkpoints, and
+each batch run as two shards, the second in a forked worker), the worker
+count rule, the 8-kHz WAV reader, clustering-based separation and each eval
+algo's estimates."""
 
 import csv
+import math
+import mmap
 import os
 import struct
 import sys
 import time
 from copy import deepcopy
 from dataclasses import dataclass, field, fields, replace
+from multiprocessing import Pipe
 from pathlib import Path
 from typing import NamedTuple
 
@@ -44,6 +49,22 @@ from .network import (
 CHECKPOINT_MAGIC = b"DANC"
 CHECKPOINT_VERSION = 1
 EVAL_ALGOS = (*ALGOS, "oracle_wfm", "oracle_ibm", "mixture")
+# The variables that set OpenBLAS's thread count; the first non-empty one wins.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _worker_count(n_tasks: int) -> int:
+    """Usable cores over the BLAS threads each worker inherits (OpenBLAS runs
+    one per core unless one of BLAS_THREAD_VARS is set), at most one per
+    task. More BLAS threads than cores spin against each other: two
+    workers at two threads each took 1.7-7x a serial run's time on a
+    2-core machine."""
+    if not hasattr(os, "sched_getaffinity"):   # not Linux: fork is no safe default
+        return 1
+    cores = len(os.sched_getaffinity(0))
+    setting = next((os.environ[var] for var in BLAS_THREAD_VARS if os.environ.get(var)), None)
+    threads = int(setting) if setting and setting.isdigit() and int(setting) > 0 else cores
+    return max(1, min(cores // threads, n_tasks))
 
 
 @dataclass(frozen=True)
@@ -338,6 +359,117 @@ def _load_split(records: list[corpus_mod.MixtureRecord], cfg: StftConfig) -> lis
     return out
 
 
+def _shared_tensors(shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """Zeroed float64 arrays of these shapes in one anonymous shared mapping:
+    made before a fork, each side sees what the other writes into them."""
+    flat = np.frombuffer(mmap.mmap(-1, 8 * sum(math.prod(s) for s in shapes.values())))
+    out, start = {}, 0
+    for name, shape in shapes.items():
+        out[name] = flat[start:start + math.prod(shape)].reshape(shape)
+        start += out[name].size
+    return out
+
+
+class _Shards:
+    """Each batch's loss and gradients, from two shards of its utterances:
+    shard 0 is the first ceil(n/2), shard 1 the rest. Shard 1 runs in a
+    worker forked on entry while this process runs shard 0, or here after
+    shard 0 when `_worker_count(2)` is 1. Either way the loss is
+    (n0 L0 + n1 L1) / n and each gradient (n0 g0 + n1 g1) / n, in shard
+    order, so results do not depend on where shard 1 ran.
+
+    The worker inherits the splits and params, whose tensors live in a
+    shared mapping, so every in-place Adam step reaches it. Per batch it is
+    sent the split and the shard's utterance indices, and it writes the
+    shard's loss and gradients into a second shared mapping. It exits when its
+    pipe closes: on exit from the `with`, or when this process dies.
+    """
+
+    def __init__(self, splits: dict[str, list[_Utterance]], params: ModelParams,
+                 workspace: Workspace):
+        self.splits, self.params, self.workspace = splits, params, workspace
+        self.pipe = None
+
+    def __enter__(self):
+        if _worker_count(2) < 2:
+            return self
+        self.out = _shared_tensors({"loss": (), **tensor_shapes(self.params.arch)})
+        here, there = Pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            try:
+                here.close()
+                self._serve(there)
+            finally:
+                os._exit(0)
+        there.close()
+        self.pipe = here
+        return self
+
+    def __exit__(self, *exc_info):
+        if self.pipe is not None:
+            self.pipe.close()
+            os.waitpid(self.pid, 0)
+            self.pipe = None
+
+    def _serve(self, pipe) -> None:
+        """The worker: run each shard it is sent into self.out, and reply None
+        or the exception the shard raised; return when the pipe closes."""
+        while True:
+            try:
+                job = pipe.recv()
+            except EOFError:
+                return
+            try:
+                loss, grads = self._run(*job)
+                self.out["loss"][...] = loss
+                for name, g in (grads or {}).items():
+                    self.out[name][...] = g
+                reply = None
+            except Exception as exc:
+                reply = exc
+            pipe.send(reply)
+
+    def _run(self, split: str, idx: list[int], with_grads: bool):
+        """One shard: its standardized features, magnitudes and masks through
+        the loss, and with_grads the gradients (else None)."""
+        mags, masks = zip(*(self.splits[split][j] for j in idx))
+        feats = [standardize(log_features(mag), self.params.feat_mean, self.params.feat_std)
+                 for mag in mags]
+        if with_grads:
+            return batch_loss_and_grads(feats, mags, masks, self.params,
+                                        workspace=self.workspace)
+        return batch_loss(feats, mags, masks, self.params, workspace=self.workspace), None
+
+    def loss(self, split: str, idx: list[int], with_grads: bool):
+        """The loss of the batch idx of split and, with_grads, its gradients."""
+        n = len(idx)
+        n0 = (n + 1) // 2
+        if n0 < n and self.pipe is not None:
+            self.pipe.send((split, idx[n0:], with_grads))
+        loss, grads = self._run(split, idx[:n0], with_grads)
+        if n0 == n:
+            return loss, grads
+        if self.pipe is None:
+            loss1, grads1 = self._run(split, idx[n0:], with_grads)
+        else:
+            try:
+                reply = self.pipe.recv()
+            except EOFError:
+                raise RuntimeError(f"the shard worker (pid {self.pid}) exited") from None
+            if reply is not None:
+                raise reply
+            loss1, grads1 = float(self.out["loss"]), self.out
+        n1 = n - n0
+        for name, g in (grads or {}).items():
+            g1 = grads1[name]
+            g *= n0
+            g1 *= n1
+            g += g1
+            g /= n
+        return (n0 * loss + n1 * loss1) / n, grads
+
+
 def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
           stft_cfg: StftConfig = StftConfig(), resume_from: Checkpoint | None = None,
           progress=None) -> TrainResult:
@@ -348,6 +480,13 @@ def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
     one checkpoint the run updates, returned as `last` for exact resumption
     (per-epoch RNG is derived from (seed, epoch)). `best` is its copy at the
     best validation loss. progress(record, ckpt, is_best) sees each epoch.
+
+    Every training and validation batch runs as two shards (`_Shards`):
+    the first ceil(n/2) utterances here, the rest in one worker forked after
+    the splits are loaded when `_worker_count(2)` is 2 (two usable cores per
+    BLAS thread), else here too. The shards' losses and gradients combine
+    the same way in both cases, so checkpoints do not depend on the worker
+    count; they differ in their last bits from those of whole-batch steps.
     """
     records = corpus_mod.load_manifest(manifest_path)
     train_records = [r for r in records if r.split == "train"]
@@ -360,62 +499,66 @@ def train(manifest_path, hyper: HyperParams, arch: ArchSpec,
         raise ValueError(f"resume architecture and STFT geometry {resume_from.arch}, "
                          f"{resume_from.stft_cfg} != requested {arch}, {stft_cfg}")
 
+    # The run's state; a fresh run starts from an epoch-0 checkpoint, whose
+    # parameters come before any audio is read, as ModelParams refuses a
+    # cell that cannot be trained.
+    if resume_from is None:
+        params = init_params(arch, hyper.seed)
     train_utts = _load_split(train_records, stft_cfg)
     valid_utts = _load_split(valid_records, stft_cfg)
-
-    # The run's state; a fresh run starts from an epoch-0 checkpoint.
     if resume_from is not None:
         ckpt = deepcopy(resume_from)
     else:
-        params = init_params(arch, hyper.seed)
         params.feat_mean, params.feat_std = feature_stats(
             (log_features(u.mix_mag) for u in train_utts),
             sum(u.mix_mag.shape[1] for u in train_utts))
         ckpt = Checkpoint(params, AdamState.zeros(params), stft_cfg, SAMPLE_RATE,
                           epoch=0, lr=hyper.lr0, best_val_loss=np.inf)
     params = ckpt.params
+    for name, shared in _shared_tensors(tensor_shapes(arch)).items():
+        shared[...] = params.tensors[name]
+        params.tensors[name] = shared
 
-    def batches(utts, order):
-        """Each batch's size, then its standardized features, magnitudes and masks."""
-        for i in range(0, len(order), hyper.batch_size):
-            mags, masks = zip(*(utts[j] for j in order[i:i + hyper.batch_size]))
-            yield len(mags), [standardize(log_features(mag), params.feat_mean, params.feat_std)
-                              for mag in mags], mags, masks
+    def batches(order: list[int]) -> list[list[int]]:
+        return [order[i:i + hyper.batch_size] for i in range(0, len(order), hyper.batch_size)]
 
-    # One workspace for every batch of the run, sized by the longest.
-    workspace = Workspace(arch, min(hyper.batch_size, max(len(train_utts), len(valid_utts))),
+    # One workspace for every shard of the run, sized by the largest and longest.
+    largest = (min(hyper.batch_size, max(len(train_utts), len(valid_utts))) + 1) // 2
+    workspace = Workspace(arch, largest,
                           max(u.mix_mag.shape[1] for u in train_utts + valid_utts))
     log = TrainLog()
     best = None
-    for epoch in range(ckpt.epoch + 1, ckpt.epoch + hyper.epochs + 1):
-        started = time.perf_counter()
-        order = np.random.default_rng([hyper.seed, epoch]).permutation(len(train_utts))
-        total = 0.0
-        for n, *batch in batches(train_utts, order):
-            loss, grads = batch_loss_and_grads(*batch, params, workspace=workspace)
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"training diverged at epoch {epoch} (loss {loss}); "
-                    f"last losses: {[r.train_loss for r in log.rows[-3:]]}")
-            clip_grads(grads, hyper.grad_clip)
-            adam_step(params, grads, ckpt.adam, ckpt.lr, hyper.beta1, hyper.beta2, hyper.eps)
-            total += loss * n
-            del grads  # or the next step's peak would hold two sets of gradients
-        train_loss = total / len(train_utts)
-        total = 0.0
-        for n, *batch in batches(valid_utts, range(len(valid_utts))):
-            total += batch_loss(*batch, params, workspace=workspace) * n
-        val_loss = total / len(valid_utts)
-        log.rows.append(EpochRecord(epoch, train_loss, val_loss, ckpt.lr,
-                                    time.perf_counter() - started))
-        # A fresh run's first epoch is its best so far even if its loss is
-        # not finite; a resumed run keeps its earlier best unless beaten.
-        is_best = (ckpt.end_epoch(epoch, val_loss, hyper)
-                   or (best is None and resume_from is None))
-        if is_best:
-            best = deepcopy(ckpt)
-        if progress is not None:
-            progress(log.rows[-1], ckpt, is_best)
+    with _Shards({"train": train_utts, "valid": valid_utts}, params, workspace) as shards:
+        for epoch in range(ckpt.epoch + 1, ckpt.epoch + hyper.epochs + 1):
+            started = time.perf_counter()
+            order = np.random.default_rng([hyper.seed, epoch]).permutation(len(train_utts))
+            total = 0.0
+            for idx in batches(order.tolist()):
+                loss, grads = shards.loss("train", idx, with_grads=True)
+                if not np.isfinite(loss):
+                    raise FloatingPointError(
+                        f"training diverged at epoch {epoch} (loss {loss}); "
+                        f"last losses: {[r.train_loss for r in log.rows[-3:]]}")
+                clip_grads(grads, hyper.grad_clip)
+                adam_step(params, grads, ckpt.adam, ckpt.lr, hyper.beta1, hyper.beta2,
+                          hyper.eps)
+                total += loss * len(idx)
+                del grads  # or the next step's peak would hold two sets of gradients
+            train_loss = total / len(train_utts)
+            total = 0.0
+            for idx in batches(list(range(len(valid_utts)))):
+                total += shards.loss("valid", idx, with_grads=False)[0] * len(idx)
+            val_loss = total / len(valid_utts)
+            log.rows.append(EpochRecord(epoch, train_loss, val_loss, ckpt.lr,
+                                        time.perf_counter() - started))
+            # A fresh run's first epoch is its best so far even if its loss is
+            # not finite; a resumed run keeps its earlier best unless beaten.
+            is_best = (ckpt.end_epoch(epoch, val_loss, hyper)
+                       or (best is None and resume_from is None))
+            if is_best:
+                best = deepcopy(ckpt)
+            if progress is not None:
+                progress(log.rows[-1], ckpt, is_best)
     return TrainResult(best=best, last=ckpt, log=log)
 
 

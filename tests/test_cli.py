@@ -18,7 +18,8 @@ from danet.bsseval import EvalConfig, evaluate_set
 from danet.cli import DEFAULTS, echo_config, load_config, main
 from danet.dsp import StftConfig, Waveform, read_wav, write_wav
 from danet.network import ArchSpec, count_params, finite_difference_check
-from danet.pipeline import HyperParams, load_checkpoint, save_checkpoint, train
+from danet.pipeline import (HyperParams, _worker_count, load_checkpoint, save_checkpoint,
+                            train)
 
 
 def subprocess_env() -> dict:
@@ -209,7 +210,8 @@ class TestTrainCommand:
         assert main([*args, "--resume"]) == 1
         assert (tmp_path / "run" / "effective_config.txt").read_bytes() == config
 
-    def test_killed_subprocess_resumes_to_the_same_files(self, tmp_path):
+    def test_killed_subprocess_resumes_to_the_same_files(self, tmp_path, running_children,
+                                                          still_running):
         # 30 training mixtures of 2 s, so an epoch far outlasts the polling.
         assert main(["synth", "--out", str(tmp_path / "corpus"), "--speakers", "6",
                      "--utts", "8", "--dur", "2.0", "--seed", "2"]) == 0
@@ -232,8 +234,17 @@ class TestTrainCommand:
                 assert child.poll() is None, child.stderr.read()
                 assert time.monotonic() < deadline, "no epoch finished in 120 s"
                 time.sleep(0.002)
+            # The shard worker, forked before the first epoch, when there are
+            # two usable cores per BLAS thread.
+            workers = running_children(child.pid)
+            assert len(workers) == _worker_count(2) - 1
             child.kill()
             assert child.wait(timeout=30) == -signal.SIGKILL
+            # The worker exits when the pipe from its killed parent closes.
+            deadline = time.monotonic() + 5
+            while still_running(workers):
+                assert time.monotonic() < deadline, f"worker {workers} outlived its parent"
+                time.sleep(0.01)
         finally:
             child.kill()
             child.wait(timeout=30)

@@ -1,6 +1,7 @@
 """Training-loop machinery tests: Adam, LR schedule, checkpoints, separation."""
 
 import os
+import time
 import tracemalloc
 import warnings
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from danet import pipeline
-from danet.corpus import DatasetRecipe, build_dataset, synth_corpus
+from danet.corpus import DatasetRecipe, build_dataset, load_manifest, synth_corpus
 from danet.dsp import StftConfig, Waveform, feature_stats, log_features
 from danet.network import TINY_NET, ArchSpec, init_params
 from danet.pipeline import (
@@ -547,6 +548,167 @@ class TestTrain:
         bad.write_text("\n".join(kept) + "\n")
         with pytest.raises(ValueError, match="split"):
             train(bad, tiny_hyper(), TINY_ARCH)
+
+
+@pytest.fixture(scope="module")
+def shard_dataset(tmp_path_factory):
+    """7 train and 5 valid mixtures: at batch size 4 training ends on an odd
+    batch of 3 and validation on a batch of 1, whose second shard is empty."""
+    root = tmp_path_factory.mktemp("sharddata")
+    table = synth_corpus(root / "corpus", n_speakers=4, utts_per_speaker=6, dur=1.0, seed=1)
+    build_dataset(table, DatasetRecipe(train_s=7.0, valid_s=5.0, test_s=1.0, seed=1),
+                  root / "mix")
+    manifest = root / "mix" / "manifest.jsonl"
+    splits = [r.split for r in load_manifest(manifest)]
+    assert (splits.count("train"), splits.count("valid")) == (7, 5)
+    return manifest
+
+
+def use_cores(monkeypatch, n):
+    """n usable cores at one BLAS thread: a shard worker when n is 2."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+class TestShards:
+    def spy_pids(self, monkeypatch, tmp_path):
+        """Record the pid of every batch_loss_and_grads call train() makes."""
+        pids = tmp_path / "pids"
+        real = pipeline.batch_loss_and_grads
+
+        def spy(*args, **kwargs):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "batch_loss_and_grads", spy)
+        return lambda: set(map(int, pids.read_text().split()))
+
+    @pytest.mark.parametrize("resumed", [False, True])
+    def test_serial_and_two_worker_runs_save_the_same_bytes(self, shard_dataset, tmp_path,
+                                                            monkeypatch, resumed):
+        hyper = tiny_hyper(epochs=2)
+        start = None
+        if resumed:
+            use_cores(monkeypatch, 1)
+            start = train(shard_dataset, hyper, TINY_ARCH).last
+        runs = {}
+        for cores in (1, 2):
+            use_cores(monkeypatch, cores)
+            pids = self.spy_pids(monkeypatch, tmp_path / str(cores))
+            (tmp_path / str(cores)).mkdir()
+            result = train(shard_dataset, hyper, TINY_ARCH, resume_from=start)
+            assert len(pids() - {os.getpid()}) == cores - 1
+            files = []
+            for name in ("best", "last"):
+                save_checkpoint(getattr(result, name), tmp_path / str(cores) / name)
+                files.append((tmp_path / str(cores) / name).read_bytes())
+            runs[cores] = result.log.deterministic_rows(), files
+        assert runs[1] == runs[2]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_step_combines_the_two_shards_as_their_weighted_mean(self, shard_dataset,
+                                                                  monkeypatch, cores):
+        from danet.dsp import standardize
+        from danet.network import Workspace, batch_loss, batch_loss_and_grads
+
+        use_cores(monkeypatch, cores)
+        records = [r for r in load_manifest(shard_dataset) if r.split == "train"]
+        utts = pipeline._load_split(records, StftConfig())
+        params = init_params(TINY_ARCH, 7)
+        params.feat_mean, params.feat_std = feature_stats(
+            [log_features(u.mix_mag) for u in utts])
+
+        def direct(idx, fn):
+            mags, masks = zip(*(utts[j] for j in idx))
+            feats = [standardize(log_features(m), params.feat_mean, params.feat_std)
+                     for m in mags]
+            return fn(feats, mags, masks, params)
+
+        with pipeline._Shards({"train": utts}, params, Workspace()) as shards:
+            for idx in ([6, 2, 0, 5, 1], [3, 4], [1]):
+                loss, grads = shards.loss("train", idx, with_grads=True)
+                val_loss, none = shards.loss("train", idx, with_grads=False)
+                n, n0 = len(idx), (len(idx) + 1) // 2
+                if n == 1:
+                    want, want_grads = direct(idx, batch_loss_and_grads)
+                    assert (val_loss, none) == (direct(idx, batch_loss), None)
+                else:
+                    (l0, g0), (l1, g1) = (direct(idx[:n0], batch_loss_and_grads),
+                                          direct(idx[n0:], batch_loss_and_grads))
+                    want = (n0 * l0 + (n - n0) * l1) / n
+                    want_grads = {k: (n0 * g0[k] + (n - n0) * g1[k]) / n for k in g0}
+                    v0, v1 = direct(idx[:n0], batch_loss), direct(idx[n0:], batch_loss)
+                    assert (val_loss, none) == ((n0 * v0 + (n - n0) * v1) / n, None)
+                assert loss == want
+                assert list(grads) == list(want_grads)
+                for k in grads:
+                    assert grads[k].tobytes() == want_grads[k].tobytes(), k
+
+    def test_worker_exceptions_reach_the_caller(self, tiny_dataset, monkeypatch,
+                                                running_children):
+        use_cores(monkeypatch, 2)
+        parent = os.getpid()
+        real = pipeline.batch_loss_and_grads
+
+        def failing_in_the_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                raise FloatingPointError("shard 1 went wrong")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "batch_loss_and_grads", failing_in_the_worker)
+        with pytest.raises(FloatingPointError, match="^shard 1 went wrong$"):
+            train(tiny_dataset, tiny_hyper(), TINY_ARCH)
+        assert not running_children()
+
+    def test_a_worker_that_dies_is_reported(self, tiny_dataset, monkeypatch,
+                                            running_children):
+        use_cores(monkeypatch, 2)
+        parent = os.getpid()
+        real = pipeline.batch_loss
+
+        def dying_in_the_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "batch_loss", dying_in_the_worker)
+        with pytest.raises(RuntimeError, match=r"shard worker \(pid \d+\) exited"):
+            train(tiny_dataset, tiny_hyper(), TINY_ARCH)
+        assert not running_children()
+
+    def test_an_idle_worker_exits_when_its_pipe_closes(self, monkeypatch, still_running):
+        # As when its parent dies between two batches.
+        from danet.network import Workspace
+
+        use_cores(monkeypatch, 2)
+        with pipeline._Shards({}, init_params(TINY_ARCH, 0), Workspace()) as shards:
+            shards.pipe.close()
+            deadline = time.monotonic() + 5
+            while still_running({shards.pid}):
+                assert time.monotonic() < deadline, "the worker outlived its pipe"
+                time.sleep(0.01)
+
+    def test_no_worker_outlives_a_run(self, tiny_dataset, monkeypatch, tmp_path,
+                                      running_children):
+        use_cores(monkeypatch, 2)
+        pids = self.spy_pids(monkeypatch, tmp_path)
+        seen = []
+        train(tiny_dataset, tiny_hyper(), TINY_ARCH,
+              progress=lambda *a: seen.append(running_children()))
+        assert seen[0] == pids() - {os.getpid()} and len(seen[0]) == 1
+        assert not running_children()
+
+    def test_lstm_refused_before_any_audio_is_read(self, tiny_dataset, monkeypatch):
+        calls = []
+        real = pipeline.read_audio
+        monkeypatch.setattr(pipeline, "read_audio", lambda path: calls.append(path) or real(path))
+        with pytest.raises(ValueError, match="only GRU cells are trainable"):
+            train(tiny_dataset, tiny_hyper(), ArchSpec(input_dim=129, num_layers=1,
+                                                       hidden_per_direction=8, embed_dim=4,
+                                                       cell_kind="lstm"))
+        assert calls == []
 
 
 @pytest.fixture(scope="module")
