@@ -1,10 +1,14 @@
 """BSS-eval style scoring: project an estimate onto delayed copies of the
 references, split it into target / interference / artifact parts, and report
-SDR, SIR and SAR with permutation resolution. `evaluate_set` scores what
-`pipeline.estimate` returns for a manifest split, in forked worker processes."""
+SDR, SIR and SAR with permutation resolution. A projector builds and factors
+its Gram matrix in a `Workspace`, which serves one projector at a time and
+reuses its buffers for the next. `evaluate_set` scores what
+`pipeline.estimate` returns for a manifest split, in forked worker processes,
+with one workspace per process."""
 
 import csv
 import itertools
+import math
 import multiprocessing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -46,37 +50,72 @@ class Metrics:
     permutation: tuple[int, ...]   # permutation[i] = reference matched to estimate i
 
 
+class Workspace:
+    """The buffers a `_Projector` factors in place: its Gram matrix and the
+    diagonal blocks of targets 1 .. N-1.
+
+    Each buffer is one flat float64 array, and a projector takes C-contiguous
+    views of its own shapes from the front of it, so each view has the
+    layout a fresh array of that shape would have. A buffer too small for a
+    reference set is replaced by a larger one. A workspace serves one
+    projector at a time: a projector's factors are views of it, so the next
+    projector built in it overwrites them. No array `decompose` returns is a
+    view of a workspace.
+    """
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        if name not in self._flat or self._flat[name].size < size:
+            self._flat[name] = np.empty(size)
+        return self._flat[name][:size].reshape(shape)
+
+
 class _Projector:
     """Least-squares projections onto the L-tap delayed copies of one
     reference set. The Gram matrix G of all N*L copies is block-Toeplitz,
-    built from one batched FFT and factorized once, in place: its leading
-    block is target 0's factor, and each other target factors its own
-    diagonal block. All estimates share each solve."""
+    built from one batched FFT into the workspace (a fresh one if none is
+    given) and factorized once, in place: its leading block is target 0's
+    factor, and each other target factors its own diagonal block, copied
+    into the workspace first. All estimates share each solve.
 
-    def __init__(self, refs: list[np.ndarray], cfg: EvalConfig):
+    The singular fallbacks (a least-squares solve, and target 0's re-factor
+    after the all-references factor fails) rebuild G in a fresh workspace:
+    a least-squares solve keeps its matrix, and G rebuilt in this workspace
+    would overwrite the factors already written there."""
+
+    def __init__(self, refs: list[np.ndarray], cfg: EvalConfig,
+                 workspace: Workspace | None = None):
         refs = _signals(refs, "reference")
         N, self.n = refs.shape
         L = self.L = cfg.proj_len
         # Long enough that no lag in -(L-1)..L-1 and no projection wraps round.
         self.nfft = next_fast_len(max(self.n, L) + L - 1, real=True)
         self.spectra = rfft(refs, self.nfft)
-        G = self._gram()
+        ws = Workspace() if workspace is None else workspace
+        G = self._gram(ws)
         blocks = [slice(j * L, (j + 1) * L) for j in range(N)]
-        own = [G[s, s].copy() for s in blocks[1:]]
+        own = ws.take("blocks", (N - 1, L, L))
+        for a, s in zip(own, blocks[1:]):
+            np.copyto(a, G[s, s])
         lead = self._all = self._factor(G, slice(None))
         if N > 1:
             lead = (self._cho_solver(lead[0][:L, :L]) if lead[0] is not None
-                    else self._factor(self._gram()[blocks[0], blocks[0]], blocks[0]))
+                    else self._factor(self._gram(Workspace())[blocks[0], blocks[0]],
+                                      blocks[0]))
         self._targets = [lead] + [self._factor(a, s) for a, s in zip(own, blocks[1:])]
 
-    def _gram(self) -> np.ndarray:
-        """G[i*L + a, j*L + b] = sum_u r_i[u] r_j[u + a - b], lifted."""
+    def _gram(self, ws: Workspace) -> np.ndarray:
+        """G[i*L + a, j*L + b] = sum_u r_i[u] r_j[u + a - b], lifted, in ws."""
         L, N = self.L, len(self.spectra)
         xc = irfft(self.spectra.conj()[:, None] * self.spectra, self.nfft)
         lags = np.concatenate([xc[..., self.nfft - L + 1:], xc[..., :L]], axis=-1)
         # windows[i, j, a, b] = lags[i, j, L - 1 + a - b], the lag a - b
         windows = sliding_window_view(lags, L, axis=-1)[..., ::-1]
-        G = np.array(windows.transpose(0, 2, 1, 3)).reshape(N * L, N * L)
+        G = ws.take("gram", (N * L, N * L))
+        np.copyto(G.reshape(N, L, N, L), windows.transpose(0, 2, 1, 3))
         # A lift relative to the largest reference energy (1 when every
         # reference is silent) keeps the solve, its figures and its warnings
         # independent of the signals' scale.
@@ -92,7 +131,7 @@ class _Projector:
             factor = cho_factor(a.T, lower=True, overwrite_a=True, check_finite=False)[0]
         except np.linalg.LinAlgError:
             warnings.warn("singular projection system; falling back to least squares")
-            a = self._gram()[sel, sel]
+            a = self._gram(Workspace())[sel, sel]
             return None, lambda rhs: np.linalg.lstsq(a, rhs, rcond=None)[0]
         return self._cho_solver(factor)
 
@@ -166,8 +205,10 @@ def sdr_sir_sar(est: np.ndarray, refs: list[np.ndarray], target_index: int,
 
 
 def resolve_permutation(ests: list[np.ndarray], refs: list[np.ndarray],
-                        cfg: EvalConfig = EvalConfig()) -> Metrics:
-    """Score every estimate-to-reference assignment; keep the best mean SIR."""
+                        cfg: EvalConfig = EvalConfig(),
+                        workspace: Workspace | None = None) -> Metrics:
+    """Score every estimate-to-reference assignment; keep the best mean SIR.
+    The projector is built in workspace, or in fresh arrays if it is None."""
     if len(ests) != len(refs):
         raise ValueError(f"{len(ests)} estimates vs {len(refs)} references")
     n_src = len(refs)
@@ -176,7 +217,7 @@ def resolve_permutation(ests: list[np.ndarray], refs: list[np.ndarray],
 
     # table[i, j] = (SDR, SIR, SAR) of estimate i against reference j
     table = np.array([[_metrics_from_parts(*parts, cfg.sdr_cap) for parts in est_parts]
-                      for est_parts in _Projector(refs, cfg).decompose(ests)])
+                      for est_parts in _Projector(refs, cfg, workspace).decompose(ests)])
     rows = np.arange(n_src)
     best = max(itertools.permutations(range(n_src)), key=lambda p: np.mean(table[rows, p, 1]))
     sdr, sir, sar = table[rows, best].T
@@ -186,26 +227,27 @@ def resolve_permutation(ests: list[np.ndarray], refs: list[np.ndarray],
 REPORT_HEADER = ["utt_id", "speaker", "permuted_to", "sdr_db", "sir_db", "sar_db", "pesq"]
 
 
-def _score_record(rec, ckpt, algo: str, cfg: EvalConfig, seed: int, stft_cfg: StftConfig):
-    """Estimate and score one mixture: its CSV rows, its per-speaker
-    (SDR, SIR, SAR) tuples, and the warnings raised on the way as
-    (message, category, filename, lineno)."""
+def _score_record(rec, ckpt, algo: str, cfg: EvalConfig, seed: int, stft_cfg: StftConfig,
+                  workspace: Workspace):
+    """Estimate and score one mixture, projecting in workspace: its CSV rows,
+    its per-speaker (SDR, SIR, SAR) tuples, and the warnings raised on the
+    way as (message, category, filename, lineno)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ests, refs = pipeline.estimate(rec, ckpt, algo, seed, stft_cfg)
-        metrics = resolve_permutation(ests, refs, cfg)
+        metrics = resolve_permutation(ests, refs, cfg, workspace=workspace)
     scores = list(zip(metrics.sdr, metrics.sir, metrics.sar))
     rows = [[rec.utt_id, i, metrics.permutation[i], *(f"{v:.4f}" for v in score), "n/a"]
             for i, score in enumerate(scores)]
     return rows, scores, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
-_job = None   # (ckpt, algo, cfg, seed, stft_cfg), set in worker processes only
+_job = None   # (ckpt, algo, cfg, seed, stft_cfg, workspace), set in worker processes only
 
 
 def _start_worker(*job) -> None:
     global _job
-    _job = job
+    _job = (*job, Workspace())
 
 
 def _score_in_worker(rec):
@@ -214,13 +256,15 @@ def _score_in_worker(rec):
 
 def _scored(records, job):
     """_score_record over records, in order: in forked worker processes
-    (`pipeline._worker_count` of them), else in this process.
+    (`pipeline._worker_count` of them), else in this process. Each process
+    scores all of its records in one workspace.
 
     fork, not spawn: a worker starts with the caller's imports, BLAS thread
     setting and checkpoint, with no re-import or pickling per call."""
     workers = _worker_count(len(records))
     if workers < 2:
-        yield from (_score_record(rec, *job) for rec in records)
+        workspace = Workspace()
+        yield from (_score_record(rec, *job, workspace) for rec in records)
         return
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_start_worker, initargs=job) as pool:

@@ -261,6 +261,59 @@ class TestProjector:
             assert [str(w.message) for w in caught] == (
                 ["rank-deficient references; projection is regularized"] * expected)
 
+    def test_one_workspace_scores_like_fresh_projectors(self, monkeypatch):
+        from danet import bsseval
+
+        factor = bsseval.cho_factor
+
+        def refusing(size):
+            """cho_factor, refusing every matrix of `size` rows."""
+            def refuse(a, **kwargs):
+                if a.shape[0] == size:
+                    raise np.linalg.LinAlgError("not positive definite")
+                return factor(a, **kwargs)
+            return refuse
+
+        rng = np.random.default_rng(76)
+        # (N, n, L, what to break): the buffers grow, serve smaller sets and
+        # grow again; the singular fallbacks run in the middle of the run.
+        cases = [(1, 300, 8, None), (2, 900, 64, None), (2, 500, 16, "silent"),
+                 (3, 700, 32, "all refs refused"), (2, 400, 8, None),
+                 (3, 800, 16, "own blocks refused"), (3, 1200, 64, None),
+                 (1, 600, 128, None), (2, 1000, 96, None)]
+        workspace = bsseval.Workspace()
+        for N, n, L, broken in cases:
+            refs = [rng.normal(size=n) for _ in range(N)]
+            if broken == "silent":
+                refs[1] = np.zeros(n)
+            ests = [refs[(i + 1) % N] + 0.3 * rng.normal(size=n) for i in range(N)]
+            cfg = EvalConfig(proj_len=L)
+            with warnings_catcher():
+                unbroken = _Projector(refs, cfg).decompose(ests)
+            runs = []
+            with monkeypatch.context() as patch:
+                if broken is not None and broken.endswith("refused"):
+                    patch.setattr(bsseval, "cho_factor",
+                                  refusing(N * L if broken == "all refs refused" else L))
+                for ws in (None, workspace):
+                    with warnings_catcher() as caught:
+                        m = resolve_permutation(ests, refs, cfg, workspace=ws)
+                        parts = _Projector(refs, cfg, ws).decompose(ests)
+                    runs.append(([v.tobytes() for v in (m.sdr, m.sir, m.sar)], m.permutation,
+                                 [str(w.message) for w in caught],
+                                 [p.tobytes() for est_parts in parts
+                                  for target in est_parts for p in target]))
+            assert runs[1] == runs[0], (N, n, L, broken)
+            if broken is not None:
+                assert runs[0][2], broken
+            # A least-squares fallback solves what the factors it replaces solve.
+            for got_parts, want_parts in zip(parts, unbroken):
+                for g, w in zip(got_parts, want_parts):
+                    assert np.allclose(np.stack(g), np.stack(w), rtol=0, atol=1e-9), broken
+            buffers = list(workspace._flat.values())
+            assert not any(np.shares_memory(p, b) for est_parts in parts
+                           for target in est_parts for p in target for b in buffers)
+
 
 class TestSdrSirSar:
     def test_exact_estimate_hits_cap(self):
@@ -478,6 +531,51 @@ class TestEvaluateSet:
         assert reports[0][1]["count"] >= 2
         # The two-core run scored in processes other than this one.
         assert set(pids.read_text().split()) - {str(os.getpid())}
+
+    def test_one_workspace_per_process(self, dataset, tmp_path, monkeypatch):
+        from danet import bsseval
+
+        rows = [json.loads(line) for line in dataset.read_text().splitlines()]
+        for r in rows[1:]:
+            r["mixture_path"] = str(dataset.parent / r["mixture_path"])
+            r["source_paths"] = [str(dataset.parent / p) for p in r["source_paths"]]
+        five = [r for r in rows if r.get("split") == "test"]
+        five += [dict(r, split="test") for r in rows if r.get("split") == "valid"]
+        assert len(five) == 5
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text("".join(json.dumps(r) + "\n" for r in rows[:1] + five))
+
+        made, scored = tmp_path / "made", tmp_path / "scored"
+
+        class Spy(bsseval.Workspace):
+            def __init__(self):
+                super().__init__()
+                with open(made, "a") as fh:
+                    fh.write(f"{os.getpid()} {id(self)}\n")
+
+        score = bsseval.resolve_permutation
+
+        def spy(*args, workspace=None, **kwargs):
+            with open(scored, "a") as fh:
+                fh.write(f"{os.getpid()} {id(workspace)}\n")
+            return score(*args, workspace=workspace, **kwargs)
+
+        monkeypatch.setattr(bsseval, "Workspace", Spy)
+        monkeypatch.setattr(bsseval, "resolve_permutation", spy)
+        for cores in (1, 2):
+            made.write_text("")
+            scored.write_text("")
+            self.use_cores(monkeypatch, cores)
+            bsseval.evaluate_set(manifest, None, "mixture", EvalConfig(proj_len=8),
+                                 tmp_path / "r.csv")
+            made_by = [line.split()[0] for line in made.read_text().splitlines()]
+            uses = scored.read_text().splitlines()
+            assert len(uses) == 5
+            # Each process made one workspace and scored every record it took in it.
+            assert len(made_by) == len(set(made_by)) == cores
+            assert set(uses) <= set(made.read_text().splitlines())
+            if cores == 2:
+                assert str(os.getpid()) not in made_by
 
     def test_worker_warnings_reach_the_caller(self, dataset, tmp_path, monkeypatch):
         from danet.bsseval import evaluate_set
