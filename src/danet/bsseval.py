@@ -3,16 +3,16 @@ references, split it into target / interference / artifact parts, and report
 SDR, SIR and SAR with permutation resolution. A projector builds and factors
 its Gram matrix in a `Workspace`, which serves one projector at a time and
 reuses its buffers for the next. `evaluate_set` scores what
-`pipeline.estimate` returns for a manifest split, in forked worker processes,
-with one workspace per process."""
+`pipeline.estimate` returns for a manifest split, fanned out to
+`pipeline.Worker`s, with one workspace per process."""
 
 import csv
 import itertools
 import math
-import multiprocessing
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,7 +22,7 @@ from scipy.linalg import cho_factor, cho_solve
 from . import corpus, pipeline
 from .clustering import ALGOS
 from .dsp import StftConfig
-from .pipeline import _worker_count
+from .pipeline import Worker, _worker_count
 
 MAX_PERMUTATION_SOURCES = 4
 
@@ -242,33 +242,21 @@ def _score_record(rec, ckpt, algo: str, cfg: EvalConfig, seed: int, stft_cfg: St
     return rows, scores, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
 
 
-_job = None   # (ckpt, algo, cfg, seed, stft_cfg, workspace), set in worker processes only
-
-
-def _start_worker(*job) -> None:
-    global _job
-    _job = (*job, Workspace())
-
-
-def _score_in_worker(rec):
-    return _score_record(rec, *_job)
-
-
 def _scored(records, job):
-    """_score_record over records, in order: in forked worker processes
-    (`pipeline._worker_count` of them), else in this process. Each process
-    scores all of its records in one workspace.
-
-    fork, not spawn: a worker starts with the caller's imports, BLAS thread
-    setting and checkpoint, with no re-import or pickling per call."""
-    workers = _worker_count(len(records))
-    if workers < 2:
-        workspace = Workspace()
-        yield from (_score_record(rec, *job, workspace) for rec in records)
-        return
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_start_worker, initargs=job) as pool:
-        yield from pool.map(_score_in_worker, records)
+    """_score_record over records, in manifest order: record i goes to
+    worker i mod n of `pipeline._worker_count` `Worker`s (forked when n > 1,
+    so this process scores nothing), with at most two queued per worker."""
+    n = _worker_count(len(records))
+    workspace = cache(Workspace)   # one per process, made on its first record
+    with ExitStack() as stack:   # exits the workers in reverse fork order
+        workers = [stack.enter_context(Worker(
+            lambda rec: _score_record(rec, *job, workspace()), n > 1, "evaluation worker"))
+            for _ in range(n)]
+        for i in range(len(records) + 2 * n):
+            if i >= 2 * n:   # record i - 2n, from the worker record i goes to
+                yield workers[i % n].recv()
+            if i < len(records):
+                workers[i % n].send(records[i])
 
 
 def evaluate_set(manifest_path, ckpt, algo: str, cfg: EvalConfig, out_csv,
@@ -277,9 +265,9 @@ def evaluate_set(manifest_path, ckpt, algo: str, cfg: EvalConfig, out_csv,
     """Score every mixture of a manifest split as `pipeline.estimate` estimates
     it by algo; write a CSV report. PESQ is out of scope and reported as n/a.
 
-    Mixtures are scored in forked worker processes, one per usable core
-    that the BLAS threads leave free (see `pipeline._worker_count`), or in this
-    process when that is one. Rows, means and warnings are gathered here in
+    Mixtures are scored in forked `pipeline.Worker`s, one per usable core
+    that the BLAS threads leave free (see `pipeline._worker_count`), or in
+    this process when that is one. Rows, means and warnings are gathered here in
     manifest order, so the report and summary equal a serial run's at the
     same BLAS thread count.
     """

@@ -1,7 +1,7 @@
 """Training loop (Adam, LR halving on validation plateaus, checkpoints, and
-each batch run as two shards, the second in a forked worker), the worker
-count rule, the 8-kHz WAV reader, clustering-based separation and each eval
-algo's estimates."""
+each batch run as two shards, the second in a forked `Worker`), the worker
+type and count rule that training and evaluation fan out with, the 8-kHz
+WAV reader, clustering-based separation and each eval algo's estimates."""
 
 import csv
 import math
@@ -10,6 +10,7 @@ import os
 import struct
 import sys
 import time
+from contextlib import suppress
 from copy import deepcopy
 from dataclasses import dataclass, field, fields, replace
 from multiprocessing import Pipe
@@ -65,6 +66,65 @@ def _worker_count(n_tasks: int) -> int:
     setting = next((os.environ[var] for var in BLAS_THREAD_VARS if os.environ.get(var)), None)
     threads = int(setting) if setting and setting.isdigit() and int(setting) > 0 else cores
     return max(1, min(cores // threads, n_tasks))
+
+
+class Worker:
+    """Calls of fn, one per `send(*args)`; `recv()` returns their replies in
+    send order and raises what fn raised. With fork, fn runs in a process
+    forked on entry (fork, not spawn: it inherits this one's imports, BLAS
+    setting and data, with nothing re-imported or pickled), which exits when
+    its pipe closes: on exit from the `with`, or when this process dies.
+    Without, each `recv()` runs the next call here. A worker inherits the
+    pipe ends of those forked before it, so exit them in reverse fork order."""
+
+    def __init__(self, fn, fork: bool, name: str = "worker"):
+        self.fn, self.fork, self.name = fn, fork, name
+        self.pipe = None
+        self._queued = []
+
+    def __enter__(self):
+        if self.fork:
+            here, there = Pipe()
+            self.pid = os.fork()
+            if self.pid == 0:
+                try:
+                    here.close()
+                    while True:   # until recv raises: the pipe closed
+                        args = there.recv()
+                        try:
+                            reply = True, self.fn(*args)
+                        except Exception as exc:
+                            reply = False, exc
+                        there.send(reply)
+                finally:
+                    os._exit(0)
+            there.close()
+            self.pipe = here
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fn = None   # a bound method of the owner would keep it in a cycle
+        if self.pipe is not None:
+            self.pipe.close()
+            os.waitpid(self.pid, 0)
+
+    def send(self, *args) -> None:
+        if self.pipe is None:
+            self._queued.append(args)
+            return
+        with suppress(ConnectionError):   # the worker exited; recv reports it
+            self.pipe.send(args)
+
+    def recv(self):
+        if self.pipe is None:
+            return self.fn(*self._queued.pop(0))
+        try:
+            ok, reply = self.pipe.recv()
+        except (EOFError, ConnectionResetError):   # reset: it exited with calls unread
+            raise RuntimeError(f"the {self.name} (pid {self.pid}) exited") from None
+        if not ok:
+            raise reply
+        return reply
 
 
 @dataclass(frozen=True)
@@ -370,65 +430,22 @@ def _shared_tensors(shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
     return out
 
 
-class _Shards:
+class _Shards(Worker):
     """Each batch's loss and gradients, from two shards of its utterances:
-    shard 0 is the first ceil(n/2), shard 1 the rest. Shard 1 runs in a
-    worker forked on entry while this process runs shard 0, or here after
-    shard 0 when `_worker_count(2)` is 1. Either way the loss is
-    (n0 L0 + n1 L1) / n and each gradient (n0 g0 + n1 g1) / n, in shard
-    order, so results do not depend on where shard 1 ran.
-
-    The worker inherits the splits and params, whose tensors live in a
-    shared mapping, so every in-place Adam step reaches it. Per batch it is
-    sent the split and the shard's utterance indices, and it writes the
-    shard's loss and gradients into a second shared mapping. It exits when its
-    pipe closes: on exit from the `with`, or when this process dies.
+    shard 0 is the first ceil(n/2), shard 1 the rest. Shard 1 goes to this
+    worker, forked when `_worker_count(2)` is 2, before shard 0 runs here.
+    Either way the loss is (n0 L0 + n1 L1) / n and each gradient
+    (n0 g0 + n1 g1) / n, in shard order, so results do not depend on where
+    shard 1 ran. The params' tensors live in a shared mapping, so every
+    in-place Adam step reaches the worker; it writes shard 1's gradients
+    into a second one, self.out, times n1, and replies its loss.
     """
 
     def __init__(self, splits: dict[str, list[_Utterance]], params: ModelParams,
                  workspace: Workspace):
         self.splits, self.params, self.workspace = splits, params, workspace
-        self.pipe = None
-
-    def __enter__(self):
-        if _worker_count(2) < 2:
-            return self
-        self.out = _shared_tensors({"loss": (), **tensor_shapes(self.params.arch)})
-        here, there = Pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            try:
-                here.close()
-                self._serve(there)
-            finally:
-                os._exit(0)
-        there.close()
-        self.pipe = here
-        return self
-
-    def __exit__(self, *exc_info):
-        if self.pipe is not None:
-            self.pipe.close()
-            os.waitpid(self.pid, 0)
-            self.pipe = None
-
-    def _serve(self, pipe) -> None:
-        """The worker: run each shard it is sent into self.out, and reply None
-        or the exception the shard raised; return when the pipe closes."""
-        while True:
-            try:
-                job = pipe.recv()
-            except EOFError:
-                return
-            try:
-                loss, grads = self._run(*job)
-                self.out["loss"][...] = loss
-                for name, g in (grads or {}).items():
-                    self.out[name][...] = g
-                reply = None
-            except Exception as exc:
-                reply = exc
-            pipe.send(reply)
+        self.out = _shared_tensors(tensor_shapes(params.arch))
+        super().__init__(self._shard_1, _worker_count(2) > 1, "shard worker")
 
     def _run(self, split: str, idx: list[int], with_grads: bool):
         """One shard: its standardized features, magnitudes and masks through
@@ -441,33 +458,28 @@ class _Shards:
                                         workspace=self.workspace)
         return batch_loss(feats, mags, masks, self.params, workspace=self.workspace), None
 
+    def _shard_1(self, split: str, idx: list[int], with_grads: bool) -> float:
+        """Run shard 1; write its gradients times its size into self.out; its loss."""
+        loss, grads = self._run(split, idx, with_grads)
+        for name, g in (grads or {}).items():
+            np.multiply(g, len(idx), out=self.out[name])
+        return loss
+
     def loss(self, split: str, idx: list[int], with_grads: bool):
         """The loss of the batch idx of split and, with_grads, its gradients."""
         n = len(idx)
         n0 = (n + 1) // 2
-        if n0 < n and self.pipe is not None:
-            self.pipe.send((split, idx[n0:], with_grads))
+        if n0 < n:
+            self.send(split, idx[n0:], with_grads)
         loss, grads = self._run(split, idx[:n0], with_grads)
         if n0 == n:
             return loss, grads
-        if self.pipe is None:
-            loss1, grads1 = self._run(split, idx[n0:], with_grads)
-        else:
-            try:
-                reply = self.pipe.recv()
-            except EOFError:
-                raise RuntimeError(f"the shard worker (pid {self.pid}) exited") from None
-            if reply is not None:
-                raise reply
-            loss1, grads1 = float(self.out["loss"]), self.out
-        n1 = n - n0
+        loss1 = self.recv()
         for name, g in (grads or {}).items():
-            g1 = grads1[name]
             g *= n0
-            g1 *= n1
-            g += g1
+            g += self.out[name]   # n1 g1
             g /= n
-        return (n0 * loss + n1 * loss1) / n, grads
+        return (n0 * loss + (n - n0) * loss1) / n, grads
 
 
 def train(manifest_path, hyper: HyperParams, arch: ArchSpec,

@@ -612,6 +612,26 @@ class TestEvaluateSet:
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
 
+    def test_a_worker_that_dies_is_reported(self, dataset, tmp_path, monkeypatch,
+                                            running_children):
+        from danet import bsseval, pipeline
+
+        self.use_cores(monkeypatch, 2)
+        parent = os.getpid()
+        real = pipeline.estimate
+
+        def dying_in_the_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "estimate", dying_in_the_worker)
+        with pytest.raises(RuntimeError, match=r"evaluation worker \(pid (\d+)\) exited") as info:
+            bsseval.evaluate_set(dataset, None, "oracle_wfm", EvalConfig(proj_len=8),
+                                 tmp_path / "r.csv")
+        assert int(re.search(r"pid (\d+)", str(info.value)).group(1)) != parent
+        assert not running_children()
+
     def test_off_rate_stem_refused_by_name(self, dataset, tmp_path, monkeypatch):
         from danet.bsseval import evaluate_set
         from danet.dsp import read_pcm16, write_pcm16

@@ -357,6 +357,47 @@ class TestEvalCommand:
         # A checkpoint's own geometry (256/64 here) wins over stft.* keys.
         assert report("ckpt", ["--set", "stft.hop=32"], ["--checkpoint", ckpt]) == default
 
+    def test_killed_eval_leaves_no_worker_running(self, tmp_path, monkeypatch,
+                                                  running_children, still_running):
+        # 75 test mixtures of 2 s, so scoring far outlasts the polling.
+        assert main(["synth", "--out", str(tmp_path / "corpus"), "--speakers", "13",
+                     "--utts", "8", "--dur", "2.0", "--seed", "2"]) == 0
+        assert main(["mix", "--corpus", str(tmp_path / "corpus"),
+                     "--out", str(tmp_path / "mix"), "--train-min", "0",
+                     "--valid-min", "0", "--test-min", "2.5", "--seed", "2"]) == 0
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        count = _worker_count(75)
+        expected = count if count > 1 else 0   # a single worker runs in-process
+        workers = set()
+
+        child = subprocess.Popen(
+            [sys.executable, "-m", "danet.cli", "eval",
+             "--manifest", str(tmp_path / "mix" / "manifest.jsonl"),
+             "--algo", "oracle_wfm", "--out", str(tmp_path / "r.csv")],
+            env=subprocess_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        try:
+            deadline = time.monotonic() + 60
+            while len(running_children(child.pid)) < expected:
+                assert child.poll() is None, child.stderr.read()
+                assert time.monotonic() < deadline, "the workers did not start in 60 s"
+                time.sleep(0.002)
+            workers = running_children(child.pid)
+            assert len(workers) == expected
+            child.kill()
+            assert child.wait(timeout=30) == -signal.SIGKILL
+            # Each worker exits when the pipe from its killed parent closes.
+            deadline = time.monotonic() + 5
+            while still_running(workers):
+                assert time.monotonic() < deadline, (
+                    f"workers {still_running(workers)} outlived their parent")
+                time.sleep(0.01)
+        finally:
+            child.kill()
+            child.wait(timeout=30)
+            child.stderr.close()
+            for pid in still_running(workers):   # do not leave the orphans running
+                os.kill(pid, signal.SIGKILL)
+
     def test_model_eval_requires_checkpoint(self, workspace, tmp_path):
         rc = main(["eval", "--manifest", str(workspace / "mix" / "manifest.jsonl"),
                    "--algo", "gmm", "--out", str(tmp_path / "r.csv")])

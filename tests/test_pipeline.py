@@ -1,9 +1,11 @@
 """Training-loop machinery tests: Adam, LR schedule, checkpoints, separation."""
 
+import gc
 import os
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -569,6 +571,55 @@ def use_cores(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+@pytest.mark.parametrize("fork", [True, False])
+class TestWorker:
+    def test_replies_come_back_in_send_order(self, fork):
+        with pipeline.Worker(lambda x, y: (x * y, os.getpid()), fork) as worker:
+            for x in range(5):
+                worker.send(x, 3)
+            replies = [worker.recv() for _ in range(5)]
+        assert [product for product, _ in replies] == [0, 3, 6, 9, 12]
+        # Forked, every call ran in the one worker; else each ran here.
+        assert len({pid for _, pid in replies}) == 1
+        assert (replies[0][1] != os.getpid()) == fork
+
+    def test_an_exception_comes_back_with_its_type_and_message(self, fork):
+        def checked(x):
+            if x < 0:
+                raise ValueError(f"{x} is negative")
+            return x
+
+        with pipeline.Worker(checked, fork) as worker:
+            for x in (1, -2, 3):
+                worker.send(x)
+            assert worker.recv() == 1
+            with pytest.raises(ValueError, match="^-2 is negative$"):
+                worker.recv()
+            assert worker.recv() == 3   # the worker serves on after an exception
+
+    def test_an_owner_is_freed_when_its_with_block_exits(self, fork):
+        # A worker running its owner's bound method must not keep the owner
+        # (in training, the shared gradient mapping) alive in a cycle.
+        class Owner:
+            def __init__(self):
+                self.worker = pipeline.Worker(self.double, fork)
+
+            def double(self, x):
+                return 2 * x
+
+        gc.disable()
+        try:
+            owner = Owner()
+            with owner.worker:
+                owner.worker.send(4)
+                assert owner.worker.recv() == 8
+            freed = weakref.ref(owner)
+            del owner
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestShards:
